@@ -188,7 +188,9 @@ func BenchmarkCacheFourWay(b *testing.B) {
 	}
 }
 
-func BenchmarkStackSimTreap(b *testing.B) {
+// BenchmarkStackSimRef drives the Fenwick stack-distance engine one
+// reference at a time through the per-Ref path.
+func BenchmarkStackSimRef(b *testing.B) {
 	s := vm.NewStackSim()
 	r := rng.New(3)
 	b.ResetTimer()
@@ -282,14 +284,10 @@ func BenchmarkCacheGroupBlockSweep(b *testing.B) {
 	b.ReportMetric(float64(g.DistinctLines()), "distinct-lines")
 }
 
-// BenchmarkStackSimSweepExact and BenchmarkStackSimSweepSampled drive
-// the default (Fenwick) stack-distance engine with an identical
-// hot/cold paging stream in block mode, exact versus page-sampled at
-// rate 1/256 (WithSampleShift(8)). Their ns/op ratio is the speedup the
-// sampled mode buys on reconnaissance sweeps; the exact mode remains
-// the default and the only one the golden figures accept.
-func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
-	s := vm.NewStackSim(opts...)
+// BenchmarkStackSimSweepExact drives the Fenwick stack-distance engine
+// with a hot/cold paging stream in block mode.
+func BenchmarkStackSimSweepExact(b *testing.B) {
+	s := vm.NewStackSim()
 	r := rng.New(3)
 	blk := &trace.Block{}
 	for blk.Len() < 4096 {
@@ -307,9 +305,6 @@ func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Len()), "ns/ref")
 }
-
-func BenchmarkStackSimSweepExact(b *testing.B)   { benchStackSimSweep(b) }
-func BenchmarkStackSimSweepSampled(b *testing.B) { benchStackSimSweep(b, vm.WithSampleShift(8)) }
 
 // BenchmarkTeeBatch compares synchronous per-ref delivery against the
 // batched ring-buffer path through a realistic fan-out (counter + cache

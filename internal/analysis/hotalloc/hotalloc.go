@@ -1,9 +1,9 @@
 // Package hotalloc enforces the zero-allocation contract on the
 // simulation hot paths: the per-block and per-reference functions of
 // the cache, VM and trace layers (the fused cache.Group sweep,
-// lineSet.add/addRange, the sampled vm.StackSim probe, the trace.Block
-// append paths and mem.Memory's touch/emit pipeline) execute once per
-// simulated memory reference, so a single heap allocation there is
+// lineSet.add/addRange, the vm.StackSim probe and its Fenwick engine,
+// the trace.Block append paths and mem.Memory's touch/emit pipeline)
+// execute once per simulated memory reference, so a single heap allocation there is
 // multiplied by hundreds of millions and drowns the placement effects
 // the paper measures in harness noise.
 //
@@ -23,9 +23,11 @@
 // warm, reused buffer is the hot paths' working idiom, and the
 // AllocsPerRun regression tests (cache/vm zeroalloc tests) pin the
 // warmed steady state to 0 allocs/op dynamically. Cold-path helpers
-// called from hot functions (lineSet.page, mem.Memory.page) are not in
-// the hot set: materializing a page on first touch is the documented
-// amortized exception, and the dynamic tests hold it to account.
+// called from hot functions (lineSet.page, pageTable.page,
+// fenwick.compact, mem.Memory.page) are not in the hot set:
+// materializing a page on first touch and growing the slot space are
+// the documented amortized exceptions, and the dynamic tests hold them
+// to account.
 package hotalloc
 
 import (
@@ -51,15 +53,16 @@ var Analyzer = &analysis.Analyzer{
 // allocations.
 var hotFuncs = map[string]map[string]map[string]bool{
 	"cache": {
-		"Group":      set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
-		"Cache":      set("Ref", "Block", "accessLine", "accessLineRun"),
-		"lineSet":    set("add", "addRange"),
-		"groupShard": set("process", "access"),
-		"Sharing":    set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
+		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
+		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
+		"lineSet": set("add", "addRange"),
+		"Sharing": set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
-		"StackSim": set("Ref", "Block", "foldRepeats", "accessPage", "record"),
-		"mtfList":  set("access"),
+		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),
+		"fenwick":   set("access", "prefix", "add"),
+		"pageTable": set("get", "set", "ref"),
+		"mtfList":   set("access"),
 	},
 	"trace": {
 		"Block": set("Append", "AppendRun", "AppendRunTid", "AppendRefs", "Reset"),

@@ -23,3 +23,24 @@ func (s *StackSim) Curve() []uint64 {
 	copy(out, s.hist)
 	return out
 }
+
+type fenwick struct{ tree []int32 }
+
+// add walks the tree in place: clean.
+func (f *fenwick) add(i int, delta int32) {
+	for ; i < len(f.tree); i += i & -i {
+		f.tree[i] += delta
+	}
+}
+
+// access allocates a scratch slice per probe: flagged.
+func (f *fenwick) access(page uint64) int {
+	scratch := make([]int32, 4) // want `make in hot function fenwick.access`
+	return int(scratch[page&3])
+}
+
+// compact is the documented cold helper: growing the slot space may
+// allocate.
+func (f *fenwick) compact() {
+	f.tree = make([]int32, 2*len(f.tree))
+}

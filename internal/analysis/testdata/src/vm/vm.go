@@ -1,6 +1,6 @@
-// Package vm exercises the determinism rules for the sampled
-// stack-distance code: the sampling filter must be a pure function of
-// the page number, so hash/maphash — whose seeds are randomized per
+// Package vm exercises the determinism rules for hash-based page
+// sampling: a sampling filter must be a pure function of the page
+// number, so hash/maphash — whose seeds are randomized per
 // process — is banned alongside global math/rand.
 package vm
 

@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
@@ -479,33 +478,6 @@ func (s *lineSet) distinct() uint64 {
 	return n
 }
 
-// merge ORs another set's pages into this one (used when shard workers
-// fold their disjoint partitions back into the group at Stop).
-func (s *lineSet) merge(o *lineSet) {
-	for idx, p := range o.dense {
-		if p != nil {
-			s.mergePage(uint64(idx), p)
-		}
-	}
-	//lint:allow determinism bitwise OR-merge is order-insensitive
-	for idx, p := range o.sparse {
-		s.mergePage(idx, p)
-	}
-}
-
-func (s *lineSet) mergePage(idx uint64, src *lineSetPage) {
-	var dst *lineSetPage
-	if idx < uint64(len(s.dense)) {
-		dst = s.dense[idx]
-	}
-	if dst == nil {
-		dst = s.page(idx)
-	}
-	for w, v := range src {
-		dst[w] |= v
-	}
-}
-
 // page allocates (and registers) the page covering idx — the slow path
 // of add, kept out of line so add itself stays small and inlinable.
 func (s *lineSet) page(idx uint64) *lineSetPage {
@@ -563,13 +535,13 @@ type Group struct {
 	// not require direct mapping.
 	rleOK bool
 
-	// Decomposed line stream of the block being replayed, reused across
-	// blocks. runLines packs line<<1|writeBit (the write bit of a
-	// collapsed run is the OR of its members); runCounts holds how many
-	// consecutive accesses each entry folds; runTotal is their sum.
+	// Decomposed line stream of the block being replayed by a non-fused
+	// group, reused across blocks. runLines packs line<<1|writeBit (the
+	// write bit of a collapsed run is the OR of its members); runCounts
+	// holds how many consecutive accesses each entry folds (empty unless
+	// rleOK).
 	runLines  []uint64
 	runCounts []uint32
-	runTotal  uint64
 
 	// probes is fusedScan's flattened view of the member caches — tag
 	// array, scan-local miss/writeback accumulators and the member's
@@ -581,13 +553,6 @@ type Group struct {
 	// probeOrder holds the member indices sorted by ascending set
 	// count (stable, so equal-sized members keep config order).
 	probeOrder []int
-	// Per-set sharding (see StartShards); nil when disabled.
-	shards    []*groupShard
-	shardMask uint64
-	chunkFree chan shardChunk
-	pending   sync.WaitGroup
-	workersWG sync.WaitGroup
-	oneBlk    trace.Block
 }
 
 // NewGroup builds a group over the given configurations. All configs
@@ -638,15 +603,6 @@ type fusedProbe struct {
 // every member cache shares the group's line size, so each gets the
 // pre-split line number instead of redoing the shift/mask work.
 func (g *Group) Ref(r trace.Ref) {
-	if g.shards != nil {
-		// Sharded delivery: every reference must flow through the
-		// shard-partitioned line stream so the worker goroutines stay
-		// the sole writers of their set partitions.
-		g.oneBlk.Reset()
-		g.oneBlk.Append(r)
-		g.Block(&g.oneBlk)
-		return
-	}
 	first, last := span(r.Addr, r.Size, g.lineShift)
 	write := r.Kind == trace.Write
 	if first == last {
@@ -699,12 +655,12 @@ func (g *Group) Refs(batch []trace.Ref) {
 	}
 }
 
-// Block implements trace.BlockSink: the whole block's addresses are
-// decomposed into a run-length-collapsed line stream once, then that
-// stream is replayed across every member configuration (or routed to
-// the shard workers when sharding is active). Line numbers are packed
-// as line<<1|writeBit, which requires at least one free top bit — with
-// a degenerate 1-byte line size the per-reference path is used instead.
+// Block implements trace.BlockSink. A fused group probes every member
+// in one pass over the block (fusedScan); any other group decomposes
+// the block into a run-length-collapsed line stream once and replays
+// that stream across every member. Line numbers are packed as
+// line<<1|writeBit, which requires at least one free top bit — with a
+// degenerate 1-byte line size the per-reference path is used instead.
 func (g *Group) Block(b *trace.Block) {
 	if g.lineShift == 0 {
 		runs := b.Runs
@@ -721,15 +677,11 @@ func (g *Group) Block(b *trace.Block) {
 		}
 		return
 	}
-	if g.shards == nil && g.fused {
+	if g.fused {
 		g.fusedScan(b)
 		return
 	}
 	g.decompose(b)
-	if g.shards != nil {
-		g.route()
-		return
-	}
 	g.replay()
 }
 
@@ -745,11 +697,10 @@ func runAligned(addr, sz, n uint64, shift uint) bool {
 		addr&(sz-1) == 0 && sz*n-1 <= ^uint64(0)-addr
 }
 
-// fusedScan is the single-pass specialization of decompose+replay for
-// an unsharded all-direct-mapped write-allocate group: each collapsed
-// line run probes every member the moment it closes, so the block never
-// materializes an intermediate line stream. The probe order and all
-// counter updates match decompose+replay exactly.
+// fusedScan is the block path of an all-direct-mapped write-allocate
+// group: each collapsed line run probes every member the moment it
+// closes, so the block never materializes an intermediate line stream.
+// All counter updates match per-reference delivery exactly.
 func (g *Group) fusedScan(b *trace.Block) {
 	seen := g.seen
 	caches := g.caches
@@ -958,31 +909,21 @@ func (g *Group) probeRun(e0, n uint64) {
 }
 
 // decompose splits every reference in the block into cache-line
-// accesses, collapsing consecutive accesses to the same line into one
-// entry when the group's members allow it (rleOK; the write bit of a
-// collapsed entry is the OR of its members' write bits). The resulting
-// runLines/runCounts stream replays identically across every member,
-// hoisting the span/shift work that the per-reference path repeats per
-// config per ref.
+// accesses for the general (non-fused) replay, collapsing consecutive
+// accesses to the same line into one entry when the group's members
+// allow it (rleOK; the write bit of a collapsed entry is the OR of its
+// members' write bits). The resulting runLines/runCounts stream replays
+// identically across every member, hoisting the span/shift work that
+// the per-reference path repeats per config per ref. Distinct-line
+// tracking happens here, at run-entry creation (one add per emitted
+// entry — identical to a pass over the finished stream, without the
+// extra traversal).
 func (g *Group) decompose(b *trace.Block) {
 	lines := g.runLines[:0]
 	counts := g.runCounts[:0]
-	// Run lengths are only consumed by the non-fused replay (per-entry
-	// bulk hits) and by the shard workers; the fused single-goroutine
-	// path charges accesses from the total alone, so skipping the counts
-	// column halves the stream-building stores on the hottest path.
-	needCounts := g.shards != nil || (g.rleOK && !g.fused)
-	// Distinct-line tracking happens here, at run-entry creation, when
-	// the stream is replayed on this goroutine (one add per emitted
-	// entry — identical to a pass over the finished stream, without the
-	// extra traversal). Shard workers track their own partitions.
 	seen := g.seen
-	if g.shards != nil {
-		seen = nil
-	}
 	shift := g.lineShift
 	runs := b.Runs
-	var total uint64
 	if g.rleOK {
 		var cur uint64
 		var curN uint32
@@ -1001,7 +942,6 @@ func (g *Group) decompose(b *trace.Block) {
 					// collapse state.
 					for ; n > 0; n-- {
 						first, last := span(addr, b.Sizes[i], shift)
-						total += last - first + 1
 						for line := first; ; line++ {
 							if have && cur>>1 == line && curN < math.MaxUint32 {
 								cur |= w
@@ -1009,14 +949,10 @@ func (g *Group) decompose(b *trace.Block) {
 							} else {
 								if have {
 									lines = append(lines, cur)
-									if needCounts {
-										counts = append(counts, curN)
-									}
+									counts = append(counts, curN)
 								}
 								cur, curN, have = line<<1|w, 1, true
-								if seen != nil {
-									seen.add(line)
-								}
+								seen.add(line)
 							}
 							if line == last {
 								break
@@ -1029,12 +965,9 @@ func (g *Group) decompose(b *trace.Block) {
 				// Aligned run row: n single-line accesses walking lines
 				// first..last, with exact per-line counts computed in
 				// closed form instead of element by element.
-				total += uint64(n)
 				first := addr >> shift
 				last := (addr + sz*uint64(n) - 1) >> shift
-				if seen != nil {
-					seen.addRange(first, last)
-				}
+				seen.addRange(first, last)
 				firstCnt := n
 				if first != last {
 					firstCnt = uint32((((first + 1) << shift) - addr) / sz)
@@ -1045,9 +978,7 @@ func (g *Group) decompose(b *trace.Block) {
 				} else {
 					if have {
 						lines = append(lines, cur)
-						if needCounts {
-							counts = append(counts, curN)
-						}
+						counts = append(counts, curN)
 					}
 					cur, curN, have = first<<1|w, firstCnt, true
 				}
@@ -1065,9 +996,7 @@ func (g *Group) decompose(b *trace.Block) {
 						cnt = rem
 					}
 					lines = append(lines, cur)
-					if needCounts {
-						counts = append(counts, curN)
-					}
+					counts = append(counts, curN)
 					cur, curN = line<<1|w, cnt
 					if line == last {
 						break
@@ -1077,7 +1006,6 @@ func (g *Group) decompose(b *trace.Block) {
 				continue
 			}
 			first, last := span(addr, b.Sizes[i], shift)
-			total += last - first + 1
 			if first == last {
 				// Single-line reference: the overwhelming case for a
 				// word-granular stream, kept free of the line loop.
@@ -1088,14 +1016,10 @@ func (g *Group) decompose(b *trace.Block) {
 				}
 				if have {
 					lines = append(lines, cur)
-					if needCounts {
-						counts = append(counts, curN)
-					}
+					counts = append(counts, curN)
 				}
 				cur, curN, have = first<<1|w, 1, true
-				if seen != nil {
-					seen.add(first)
-				}
+				seen.add(first)
 				continue
 			}
 			for line := first; ; line++ {
@@ -1105,14 +1029,10 @@ func (g *Group) decompose(b *trace.Block) {
 				} else {
 					if have {
 						lines = append(lines, cur)
-						if needCounts {
-							counts = append(counts, curN)
-						}
+						counts = append(counts, curN)
 					}
 					cur, curN, have = line<<1|w, 1, true
-					if seen != nil {
-						seen.add(line)
-					}
+					seen.add(line)
 				}
 				if line == last {
 					break
@@ -1121,13 +1041,11 @@ func (g *Group) decompose(b *trace.Block) {
 		}
 		if have {
 			lines = append(lines, cur)
-			if needCounts {
-				counts = append(counts, curN)
-			}
+			counts = append(counts, curN)
 		}
 	} else {
 		// Not collapsible (flush intervals or no-write-allocate members
-		// need every access): one entry per line access, all counts 1.
+		// need every access): one entry per line access and no counts.
 		for i, addr := range b.Addrs {
 			w := uint64(b.Kinds[i]) & 1
 			if runs != nil && runs[i] != 1 {
@@ -1140,12 +1058,9 @@ func (g *Group) decompose(b *trace.Block) {
 				if !runAligned(addr, sz, uint64(n), shift) {
 					for ; n > 0; n-- {
 						first, last := span(a, b.Sizes[i], shift)
-						total += last - first + 1
 						for line := first; ; line++ {
 							lines = append(lines, line<<1|w)
-							if seen != nil {
-								seen.add(line)
-							}
+							seen.add(line)
 							if line == last {
 								break
 							}
@@ -1154,76 +1069,31 @@ func (g *Group) decompose(b *trace.Block) {
 					}
 					continue
 				}
-				total += uint64(n)
 				for ; n > 0; n-- {
 					line := a >> shift
 					lines = append(lines, line<<1|w)
-					if seen != nil {
-						seen.add(line)
-					}
+					seen.add(line)
 					a += sz
 				}
 				continue
 			}
 			first, last := span(addr, b.Sizes[i], shift)
-			total += last - first + 1
 			for line := first; ; line++ {
 				lines = append(lines, line<<1|w)
-				if seen != nil {
-					seen.add(line)
-				}
+				seen.add(line)
 				if line == last {
 					break
 				}
 			}
 		}
-		if needCounts {
-			for len(counts) < len(lines) {
-				counts = append(counts, 1)
-			}
-			counts = counts[:len(lines)]
-		}
 	}
-	g.runLines, g.runCounts, g.runTotal = lines, counts, total
+	g.runLines, g.runCounts = lines, counts
 }
 
-// replay feeds the decomposed line stream to every member cache on the
-// calling goroutine. Distinct-line tracking already happened during
-// decomposition.
+// replay feeds the decomposed line stream to every member cache.
+// Distinct-line tracking already happened during decomposition.
 func (g *Group) replay() {
 	lines := g.runLines
-	if g.fused {
-		// Every member is plain direct-mapped write-allocate: bulk-add
-		// the access count and run the probe loop over each tag array
-		// with no per-access feature branches.
-		for _, c := range g.caches {
-			c.accesses += g.runTotal
-			tags := c.tags
-			if len(tags) == 0 {
-				continue
-			}
-			// Direct mapped (fused), so the set mask is len(tags)-1;
-			// deriving it from the length drops the bounds check.
-			mask := uint64(len(tags) - 1)
-			for _, e := range lines {
-				// The stream entry e is already the packed tag (line<<1 |
-				// write), so a hit's dirty-merge and a miss's fill use e
-				// directly.
-				set := (e >> 1) & mask
-				t := tags[set]
-				if t^e < 2 {
-					tags[set] = t | e&dirtyBit
-					continue
-				}
-				c.misses++
-				if t != invalidTag && t&dirtyBit != 0 {
-					c.writebacks++
-				}
-				tags[set] = e
-			}
-		}
-		return
-	}
 	counts := g.runCounts
 	for _, c := range g.caches {
 		if g.rleOK {
@@ -1231,8 +1101,8 @@ func (g *Group) replay() {
 				c.accessLineRun(e>>1, e&1 != 0, uint64(counts[j]))
 			}
 		} else {
-			// Not collapsed (counts are all 1): the exact per-access
-			// path, which handles flush intervals and no-write-allocate.
+			// Not collapsed: the exact per-access path, which handles
+			// flush intervals and no-write-allocate.
 			for _, e := range lines {
 				c.accessLine(e>>1, e&1 != 0)
 			}
@@ -1244,29 +1114,14 @@ func (g *Group) replay() {
 func (g *Group) Caches() []*Cache { return g.caches }
 
 // DistinctLines returns the number of distinct cache lines referenced.
-// With sharding active it drains in-flight work first.
-func (g *Group) DistinctLines() uint64 {
-	g.Drain()
-	n := g.seen.distinct()
-	for _, s := range g.shards {
-		n += s.seen.distinct()
-	}
-	return n
-}
+func (g *Group) DistinctLines() uint64 { return g.seen.distinct() }
 
-// Results summarizes every member cache. With sharding active it drains
-// in-flight work and folds the per-shard counters into the totals.
+// Results summarizes every member cache.
 func (g *Group) Results() []Result {
-	g.Drain()
 	out := make([]Result, len(g.caches))
 	cold := g.DistinctLines()
 	for i, c := range g.caches {
-		res := Result{Config: c.cfg, Accesses: c.accesses, Misses: c.misses, ColdLines: cold}
-		for _, s := range g.shards {
-			res.Accesses += s.stats[i].accesses
-			res.Misses += s.stats[i].misses
-		}
-		out[i] = res
+		out[i] = Result{Config: c.cfg, Accesses: c.accesses, Misses: c.misses, ColdLines: cold}
 	}
 	return out
 }

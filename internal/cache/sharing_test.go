@@ -203,35 +203,6 @@ func TestSharingOracleEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharingShardIndependence: the attributor is a separate sink, so
-// its report must be byte-identical whether the cache Group it shares a
-// pipeline with runs unsharded or with 8 shard workers.
-func TestSharingShardIndependence(t *testing.T) {
-	blocks := genTidBlocks(9, 6, 512, 4)
-	var want SharingReport
-	for i, workers := range []int{1, 8} {
-		s := NewSharing(SharingConfig{RegionOf: testRegionOf})
-		g := NewGroup(Config{Size: 16 << 10}, Config{Size: 64 << 10})
-		g.StartShards(workers)
-		for _, b := range blocks {
-			g.Block(b)
-			s.Block(b)
-		}
-		g.Stop()
-		got := s.Report()
-		if i == 0 {
-			want = got
-			if want.True+want.False == 0 {
-				t.Fatal("sharing battery produced no events; the fixture is too weak")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sharing report diverged:\ngot:  %+v\nwant: %+v", workers, got, want)
-		}
-	}
-}
-
 // TestSharingSingleThreadSilent: a stream with no tid stamping can
 // never ping-pong — thread 0 always holds its own lines.
 func TestSharingSingleThreadSilent(t *testing.T) {

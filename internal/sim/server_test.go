@@ -8,6 +8,21 @@ import (
 	"mallocsim/internal/workload"
 )
 
+func pagingConfig(t *testing.T, prog string, scale uint64) Config {
+	t.Helper()
+	p, ok := workload.ByName(prog)
+	if !ok {
+		t.Fatalf("no %s program", prog)
+	}
+	return Config{
+		Program:   p,
+		Allocator: "quickfit",
+		Scale:     scale,
+		Caches:    []cache.Config{{Size: 16 << 10}, {Size: 64 << 10}},
+		PageSim:   true,
+	}
+}
+
 func serverConfig(t *testing.T, allocName string, scale uint64) Config {
 	t.Helper()
 	scen, ok := workload.ServerByName("server")
@@ -89,34 +104,5 @@ func TestServerRunReport(t *testing.T) {
 		if _, ok := w["handoffs"]; ok {
 			t.Error("program run report grew a handoffs field")
 		}
-	}
-}
-
-// TestServerShardedMatchesUnsharded: the sharing attributor is a
-// separate sink outside the cache group's shard partitioning, and the
-// server workload replays logical threads on one goroutine — so the
-// whole report, sharing rows included, must be byte-identical across
-// shard widths.
-func TestServerShardedMatchesUnsharded(t *testing.T) {
-	cfg := serverConfig(t, "locarena", 1024)
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CacheShards = 8
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(plain.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(sharded.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pj) != string(sj) {
-		t.Errorf("server reports not byte-identical across shard widths:\nplain:   %s\nsharded: %s", pj, sj)
 	}
 }

@@ -12,11 +12,11 @@ package vm
 // fresh one; when the slot space fills, the live slots are compacted
 // back to a dense prefix (amortized O(1) per access).
 //
-// The engine produces exactly the same distances as the treap (both
-// implement true LRU stack distance), but with flat arrays instead of
-// pointer-chasing rotations, and replaces the page->node map with a
-// paged-sparse table directly indexed by page number. It is the default
-// engine; the treap remains available for cross-checking.
+// The engine works over flat arrays and finds each page's slot in a
+// paged-sparse table directly indexed by page number. It is the engine
+// every simulation runs; the move-to-front list in vm.go computes the
+// same true LRU stack distances by brute force and serves as its
+// oracle in tests.
 
 type fenwick struct {
 	tree   []int32  // 1-based Fenwick tree: tree of live-slot flags

@@ -10,19 +10,10 @@
 // is then the number of references at distance >= M plus the cold
 // (first-touch) references.
 //
-// Three exact engines are provided: a simple move-to-front list
-// (O(depth) per reference, used as the oracle in tests), an
-// order-statistics treap with deterministic priorities, and a
-// Fenwick-tree engine after Bennett & Kruskal (O(log n) per reference
-// over flat arrays, the default). All three produce identical
-// distances.
-//
-// Orthogonally, WithSampleShift enables sampled stack distances: only
-// pages selected by a deterministic address hash (rate 2^-k) go through
-// the engine, and their distances and fault counts are scaled by 2^k.
-// Sampling trades exactness for speed on very large traces; the exact
-// mode remains the default, and the sampling rate is recorded on the
-// curve so downstream reports can label estimated figures.
+// Every simulation runs the Fenwick-tree engine after Bennett & Kruskal
+// (O(log n) per reference over flat arrays). A simple move-to-front
+// list (O(depth) per reference) is kept as the oracle in tests; the two
+// produce identical distances.
 package vm
 
 import (
@@ -44,21 +35,8 @@ type Curve struct {
 	// Hist[d] counts references with stack distance d (0 = re-reference
 	// of the most recently used page).
 	Hist []uint64
-	// Refs is the total page references simulated. It is exact even in
-	// sampled mode (every reference is counted; only the distance work
-	// is sampled), so FaultRate keeps an exact denominator.
+	// Refs is the total page references simulated.
 	Refs uint64
-	// SampleShift records the sampling mode: 0 for exact simulation,
-	// else pages were sampled at rate 2^-SampleShift and Cold and Hist
-	// hold scaled estimates (each sampled event counted 2^SampleShift
-	// times, distances scaled likewise).
-	SampleShift uint
-}
-
-// SampleRate returns the page sampling rate: 1 for exact simulation,
-// 2^-SampleShift in sampled mode.
-func (c *Curve) SampleRate() float64 {
-	return 1 / float64(uint64(1)<<c.SampleShift)
 }
 
 // Faults returns the number of page faults for a memory of `pages`
@@ -169,16 +147,6 @@ type StackSim struct {
 	// at every memory size >= 1.
 	lastPage uint64
 	havePage bool
-	// lastSampled caches whether lastPage passed the sampling filter,
-	// so the short-circuit path needs no re-hash: in exact mode it is
-	// always true.
-	lastSampled bool
-	// shift/sampleMask/weight implement sampled mode (WithSampleShift):
-	// a page is sampled iff hash(page)&sampleMask == 0, and each
-	// sampled event carries weight 2^shift.
-	shift      uint
-	sampleMask uint64
-	weight     uint64
 }
 
 // Option configures a StackSim.
@@ -191,31 +159,9 @@ func WithPageSize(n uint64) Option {
 }
 
 // WithListEngine selects the O(depth) move-to-front list engine instead
-// of the default. Used by tests to cross-check the implementations.
+// of the Fenwick tree. Used by tests to cross-check the implementations.
 func WithListEngine() Option {
 	return func(s *StackSim) { s.eng = newMTFList() }
-}
-
-// WithTreapEngine selects the order-statistics treap engine instead of
-// the default Fenwick tree. The two produce identical distances; the
-// treap is kept for cross-checking and for address spaces so sparse
-// that the paged slot table would thrash.
-func WithTreapEngine() Option {
-	return func(s *StackSim) { s.eng = newTreap() }
-}
-
-// WithSampleShift enables sampled stack distances at rate 2^-k (k = 0
-// keeps exact simulation). Pages are selected by a deterministic
-// SplitMix64-style hash of the page number — no global RNG, identical
-// selection on every run — and only selected pages pass through the
-// distance engine; their distances, cold counts and histogram weights
-// are scaled by 2^k so the fault curve estimates the exact one.
-// Curve.SampleShift records the mode for downstream reports.
-func WithSampleShift(k uint) Option {
-	if k >= 32 {
-		panic(fmt.Sprintf("vm: sample shift %d out of range", k))
-	}
-	return func(s *StackSim) { s.shift = k }
 }
 
 // NewStackSim creates a stack simulator.
@@ -233,10 +179,7 @@ func NewStackSim(opts ...Option) *StackSim {
 	if s.eng == nil {
 		s.eng = newFenwick()
 	}
-	s.sampleMask = uint64(1)<<s.shift - 1
-	s.weight = uint64(1) << s.shift
 	s.curve.PageSize = s.pageSize
-	s.curve.SampleShift = s.shift
 	return s
 }
 
@@ -279,10 +222,9 @@ func (s *StackSim) Refs(batch []trace.Ref) {
 // references (kinds are irrelevant to fault behaviour).
 func (s *StackSim) Block(b *trace.Block) {
 	// Same-page repeats — by far the hot case in a word-granular stream
-	// — accumulate in locals: a repeat is distance 0 with the current
-	// page's (cached) sample verdict, so a run of n repeats folds into
-	// Refs += n and Hist[0] += n·weight, which commute with everything
-	// the engine does at the next page switch.
+	// — accumulate in locals: a repeat is distance 0, so a run of n
+	// repeats folds into Refs += n and Hist[0] += n, which commute with
+	// everything the engine does at the next page switch.
 	var refs, repeats uint64
 	runs := b.Runs
 	for i, addr := range b.Addrs {
@@ -375,47 +317,36 @@ func (s *StackSim) Block(b *trace.Block) {
 	s.curve.Refs += refs
 }
 
-// foldRepeats applies n accumulated same-page re-references: each is a
-// distance-0 event recorded only when the page passed the sample filter
-// (Refs are added separately by Block).
+// foldRepeats applies n accumulated same-page re-references, each a
+// distance-0 event (Refs are added separately by Block).
 func (s *StackSim) foldRepeats(n uint64) {
-	if !s.lastSampled {
-		return
-	}
 	if len(s.curve.Hist) == 0 {
 		s.curve.Hist = append(s.curve.Hist, 0)
 	}
-	s.curve.Hist[0] += n * s.weight
+	s.curve.Hist[0] += n
 }
 
 func (s *StackSim) accessPage(p uint64) {
 	s.curve.Refs++
 	if s.havePage && p == s.lastPage {
-		if s.lastSampled {
-			s.record(0)
-		}
+		s.record(0)
 		return
 	}
 	s.lastPage = p
 	s.havePage = true
-	if s.shift != 0 && hashPrio(p)&s.sampleMask != 0 {
-		s.lastSampled = false
-		return
-	}
-	s.lastSampled = true
 	d := s.eng.access(p)
 	if d < 0 {
-		s.curve.Cold += s.weight
+		s.curve.Cold++
 		return
 	}
-	s.record(d << s.shift)
+	s.record(d)
 }
 
 func (s *StackSim) record(d int) {
 	for d >= len(s.curve.Hist) {
 		s.curve.Hist = append(s.curve.Hist, 0)
 	}
-	s.curve.Hist[d] += s.weight
+	s.curve.Hist[d]++
 }
 
 // Curve returns the accumulated result. The returned value shares the

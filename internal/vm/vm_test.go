@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -142,38 +143,112 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestTreapMatchesList(t *testing.T) {
-	r := rng.New(99)
-	treapSim := NewStackSim()
-	listSim := NewStackSim(WithListEngine())
-	for i := 0; i < 30000; i++ {
-		var p uint64
-		if r.Bool(0.6) {
-			p = r.Uint64n(16)
-		} else {
-			p = r.Uint64n(500)
-		}
-		treapSim.Ref(pageRef(p))
-		listSim.Ref(pageRef(p))
+// TestFenwickMatchesList cross-checks the Fenwick engine against the
+// move-to-front list oracle on streams chosen to reach its edge paths:
+// a small hot set, a live set large enough that compact() grows the
+// slot space at least twice, and pages above the dense pageTable limit
+// up to the top page of the 64-bit address space.
+func TestFenwickMatchesList(t *testing.T) {
+	const topPage = ^uint64(0) / DefaultPageSize
+	sparseBase := uint64(pageTableDenseLimit) << pageTableShift
+	cases := []struct {
+		name string
+		refs int
+		page func(r *rng.Rand) uint64
+		// check asserts the stream reached the edge path it targets.
+		check func(f *fenwick) error
+	}{
+		{
+			name: "hot",
+			refs: 30000,
+			page: func(r *rng.Rand) uint64 {
+				if r.Bool(0.6) {
+					return r.Uint64n(16)
+				}
+				return r.Uint64n(500)
+			},
+		},
+		{
+			name: "growth",
+			refs: 20000,
+			page: func(r *rng.Rand) uint64 {
+				if r.Bool(0.5) {
+					return r.Uint64n(64)
+				}
+				return r.Uint64n(3000)
+			},
+			check: func(f *fenwick) error {
+				if f.n <= 2048 || len(f.pageOf) < 4*fenwickMinCap {
+					return fmt.Errorf("live pages %d, slot space %d: want > 2048 live pages and at least two doublings of %d",
+						f.n, len(f.pageOf), fenwickMinCap)
+				}
+				return nil
+			},
+		},
+		{
+			name: "sparse",
+			refs: 20000,
+			page: func(r *rng.Rand) uint64 {
+				switch {
+				case r.Bool(0.3):
+					return r.Uint64n(64) // dense territory
+				case r.Bool(0.2):
+					return topPage - r.Uint64n(8)
+				case r.Bool(0.3):
+					return sparseBase + r.Uint64n(256)
+				default:
+					// Scattered high pages: each lands in its own sparse
+					// table page.
+					return sparseBase + r.Uint64n(700)*(topPage/1024)
+				}
+			},
+			check: func(f *fenwick) error {
+				if len(f.slots.sparse) == 0 || f.slots.get(topPage) == 0 {
+					return fmt.Errorf("sparse table pages %d, top page slot %d: the stream missed the sparse table",
+						len(f.slots.sparse), f.slots.get(topPage))
+				}
+				if len(f.pageOf) <= fenwickMinCap {
+					return fmt.Errorf("slot space %d never grew: compaction did not run over sparse pages", len(f.pageOf))
+				}
+				return nil
+			},
+		},
 	}
-	a, b := treapSim.Curve(), listSim.Curve()
-	if a.Cold != b.Cold || a.Refs != b.Refs {
-		t.Fatalf("cold/refs mismatch: %d/%d vs %d/%d", a.Cold, a.Refs, b.Cold, b.Refs)
-	}
-	if len(a.Hist) != len(b.Hist) {
-		t.Fatalf("hist lengths differ: %d vs %d", len(a.Hist), len(b.Hist))
-	}
-	for d := range a.Hist {
-		if a.Hist[d] != b.Hist[d] {
-			t.Fatalf("hist[%d]: treap %d list %d", d, a.Hist[d], b.Hist[d])
-		}
-	}
-	if treapSim.DistinctPages() != listSim.DistinctPages() {
-		t.Error("distinct pages differ")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(99)
+			fenSim := NewStackSim()
+			listSim := NewStackSim(WithListEngine())
+			for i := 0; i < tc.refs; i++ {
+				p := tc.page(r)
+				fenSim.Ref(pageRef(p))
+				listSim.Ref(pageRef(p))
+			}
+			a, b := fenSim.Curve(), listSim.Curve()
+			if a.Cold != b.Cold || a.Refs != b.Refs {
+				t.Fatalf("cold/refs mismatch: %d/%d vs %d/%d", a.Cold, a.Refs, b.Cold, b.Refs)
+			}
+			if len(a.Hist) != len(b.Hist) {
+				t.Fatalf("hist lengths differ: %d vs %d", len(a.Hist), len(b.Hist))
+			}
+			for d := range a.Hist {
+				if a.Hist[d] != b.Hist[d] {
+					t.Fatalf("hist[%d]: fenwick %d list %d", d, a.Hist[d], b.Hist[d])
+				}
+			}
+			if fenSim.DistinctPages() != listSim.DistinctPages() {
+				t.Error("distinct pages differ")
+			}
+			if tc.check != nil {
+				if err := tc.check(fenSim.eng.(*fenwick)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// Property: treap and list engines agree on arbitrary short traces.
+// Property: Fenwick and list engines agree on arbitrary short traces.
 func TestQuickEnginesAgree(t *testing.T) {
 	prop := func(raw []byte) bool {
 		a := NewStackSim()

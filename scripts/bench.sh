@@ -66,12 +66,12 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkStackSimTreap$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$'
+micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
   # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
-  # block delivery) and the LRU stack engines (exact and sampled).
+  # block delivery) and the LRU stack engine (per-Ref and block).
   # Several iterations each so benchstat has samples.
   go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
   # Full experiment matrix through the parallel runner, plus the
