@@ -242,8 +242,8 @@ func BenchmarkCacheGroupSweep(b *testing.B) {
 // BenchmarkCacheGroupBlockSweep drives the same five-configuration
 // group with the same mixed stream as BenchmarkCacheGroupSweep, but
 // delivered as one columnar trace.Block per op (4096 rows, including
-// collapsed run rows): the fused sweep decomposes each block into
-// lines once and probes every config from the shared stream. Compare
+// collapsed run rows): the fused sweep splits each block into lines
+// once and probes every config from the shared stream. Compare
 // the reported ns/ref against BenchmarkCacheGroupSweep's ns/op — both
 // simulate the identical reference sequence.
 func BenchmarkCacheGroupBlockSweep(b *testing.B) {

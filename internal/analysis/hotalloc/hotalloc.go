@@ -53,10 +53,10 @@ var Analyzer = &analysis.Analyzer{
 // allocations.
 var hotFuncs = map[string]map[string]map[string]bool{
 	"cache": {
-		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
-		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
+		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun"),
+		"Cache":   set("Ref", "Block", "accessLine"),
 		"lineSet": set("add", "addRange"),
-		"Sharing": set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
+		"Sharing": set("Ref", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
 		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),

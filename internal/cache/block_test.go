@@ -110,11 +110,11 @@ func TestCacheBlockEquivalence(t *testing.T) {
 	}
 }
 
-// groupVariants are the Group shapes that select each bulk code path:
-// the fused single-pass scan (all direct mapped, no flush/nwa), the
-// decompose+replay path (associative members), and the per-ref
-// fallback (flush intervals and no-write-allocate disable run
-// collapsing).
+// groupVariants are the Group shapes on each side of the fused test:
+// the fused single-pass scan (all direct mapped, no flush/nwa), and the
+// per-reference expansion that associative, no-write-allocate and
+// flush members select, as do 1-byte lines (no spare bit to pack a
+// line number with its write bit).
 func groupVariants() map[string][]Config {
 	return map[string][]Config{
 		"fused": {
@@ -130,17 +130,27 @@ func groupVariants() map[string][]Config {
 		"flush": {
 			{Size: 16 << 10, FlushInterval: 8192}, {Size: 64 << 10},
 		},
+		"byteline": {
+			{Size: 1 << 10, LineSize: 1}, {Size: 4 << 10, LineSize: 1},
+		},
 	}
 }
 
-// TestGroupBlockEquivalence: Group.Block (fused scan, decompose+replay
-// and the fallback) must match per-reference delivery on every member's
+// TestGroupBlockEquivalence: Group.Block (fused scan and per-reference
+// expansion) must match per-reference delivery on every member's
 // counters and on the distinct-line census.
 func TestGroupBlockEquivalence(t *testing.T) {
+	// Two addresses that differ only in bit 63: with 1-byte lines their
+	// line numbers differ only in the bit that packing a write flag
+	// below the line number would shift out.
+	top := &trace.Block{}
+	for _, a := range []uint64{5, 5 | 1<<63, 5} {
+		top.Append(trace.Ref{Addr: a, Size: 1})
+	}
 	for name, cfgs := range groupVariants() {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				blocks := genBlocks(seed, 4, 512)
+				blocks := append(genBlocks(seed, 4, 512), top)
 				byRef, byBlock := NewGroup(cfgs...), NewGroup(cfgs...)
 				deliverRefs(byRef, blocks)
 				for _, b := range blocks {

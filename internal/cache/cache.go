@@ -16,7 +16,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -115,8 +114,8 @@ type Cache struct {
 	assoc     int
 	// tags holds, per set, assoc line tags maintained in LRU order
 	// (index 0 = most recently used). invalidTag marks empty ways;
-	// valid tags are packed as line<<1 | dirty — the same packing the
-	// group's decomposed line stream uses (line<<1 | writeBit), so the
+	// valid tags are packed as line<<1 | dirty — the same packing as the
+	// group's fused-scan line entries (line<<1 | writeBit), so the
 	// hot hit test is a single XOR: t^packed < 2 iff same line, and
 	// invalidTag can never satisfy it (lines fit in 60 bits).
 	tags []uint64
@@ -195,13 +194,6 @@ func (c *Cache) Ref(r trace.Ref) {
 	}
 }
 
-// Refs implements trace.BatchSink.
-func (c *Cache) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		c.Ref(r)
-	}
-}
-
 // Block implements trace.BlockSink: the simulator walks the address and
 // kind columns directly, loading sizes only to split line-spanning
 // references. Run rows are expanded reference by reference — a lone
@@ -232,18 +224,6 @@ func (c *Cache) Block(b *trace.Block) {
 			addr += uint64(sz)
 		}
 	}
-}
-
-// accessLineRun folds count consecutive accesses to one line (write
-// true if any of them was a store) into a single probe plus a bulk
-// access count. Exact only for write-allocate caches with no flush
-// interval: after the first access the line is resident whatever the
-// probe's outcome, so accesses 2..count hit and can only set the dirty
-// bit — which the folded write flag already does. Group.replay gates
-// callers on exactly those conditions (rleOK).
-func (c *Cache) accessLineRun(line uint64, write bool, count uint64) {
-	c.accesses += count - 1
-	c.accessLine(line, write)
 }
 
 func (c *Cache) accessLine(line uint64, write bool) {
@@ -514,10 +494,10 @@ func (s *lineSet) page(idx uint64) *lineSetPage {
 
 // Group feeds one reference stream to several cache configurations and
 // tracks the distinct-line (cold miss) count once for all of them. It
-// implements trace.Sink, trace.BatchSink and trace.BlockSink: columnar
-// blocks take the fastest path, decomposing every address into a
-// run-length-collapsed cache-line stream once and replaying that stream
-// across all member configurations.
+// implements trace.Sink and trace.BlockSink. A group of plain
+// direct-mapped write-allocate caches — the paper's configuration —
+// takes each columnar block in one fused scan over every member; any
+// other group expands blocks reference by reference.
 type Group struct {
 	caches []*Cache
 	// seen tracks distinct line numbers (the shared cold-miss count).
@@ -525,23 +505,10 @@ type Group struct {
 	lineShift uint
 	// fused is true when every member is a plain direct-mapped
 	// write-allocate cache with no flush interval — the paper's exact
-	// configuration — letting accessLine run one fused loop over the
-	// members' tag arrays instead of a virtual call per cache.
+	// configuration — and lines are at least 2 bytes, so a line number
+	// packs with its write bit into one word (line<<1|writeBit). Block
+	// then runs fusedScan.
 	fused bool
-	// rleOK is true when every member is write-allocate with no flush
-	// interval: consecutive accesses to one cache line may then be
-	// collapsed to a single probe with a bulk access count (see
-	// Cache.accessLineRun for why this is exact). Unlike fused it does
-	// not require direct mapping.
-	rleOK bool
-
-	// Decomposed line stream of the block being replayed by a non-fused
-	// group, reused across blocks. runLines packs line<<1|writeBit (the
-	// write bit of a collapsed run is the OR of its members); runCounts
-	// holds how many consecutive accesses each entry folds (empty unless
-	// rleOK).
-	runLines  []uint64
-	runCounts []uint32
 
 	// probes is fusedScan's flattened view of the member caches — tag
 	// array, scan-local miss/writeback accumulators and the member's
@@ -561,7 +528,7 @@ func NewGroup(cfgs ...Config) *Group {
 	if len(cfgs) == 0 {
 		panic("cache: empty group")
 	}
-	g := &Group{seen: newLineSet(), fused: true, rleOK: true}
+	g := &Group{seen: newLineSet(), fused: true}
 	var lineSize uint64
 	for _, cfg := range cfgs {
 		c := New(cfg)
@@ -571,10 +538,7 @@ func NewGroup(cfgs ...Config) *Group {
 		} else if c.cfg.LineSize != lineSize {
 			panic("cache: group configs must share a line size")
 		}
-		if c.cfg.NoWriteAllocate || c.cfg.FlushInterval != 0 {
-			g.rleOK = false
-		}
-		if c.assoc != 1 || !g.rleOK {
+		if c.assoc != 1 || c.cfg.NoWriteAllocate || c.cfg.FlushInterval != 0 || c.lineShift == 0 {
 			g.fused = false
 		}
 		g.caches = append(g.caches, c)
@@ -599,7 +563,7 @@ type fusedProbe struct {
 	misses, writebacks uint64
 }
 
-// Ref implements trace.Sink. The line decomposition is done once here —
+// Ref implements trace.Sink. The line split is done once here —
 // every member cache shares the group's line size, so each gets the
 // pre-split line number instead of redoing the shift/mask work.
 func (g *Group) Ref(r trace.Ref) {
@@ -619,77 +583,39 @@ func (g *Group) Ref(r trace.Ref) {
 
 func (g *Group) accessLine(line uint64, write bool) {
 	g.seen.add(line)
-	if g.fused {
-		// Every member is plain direct-mapped write-allocate: run the
-		// direct-mapped fast path inline over all tag arrays, skipping
-		// the per-cache call and its feature branches.
-		packed := line << 1
-		if write {
-			packed |= dirtyBit
-		}
-		for _, c := range g.caches {
-			c.accesses++
-			set := line & c.setMask
-			t := c.tags[set]
-			if t^packed < 2 {
-				c.tags[set] = t | packed&dirtyBit
-				continue
-			}
-			c.misses++
-			if t != invalidTag && t&dirtyBit != 0 {
-				c.writebacks++
-			}
-			c.tags[set] = packed
-		}
-		return
-	}
 	for _, c := range g.caches {
 		c.accessLine(line, write)
 	}
 }
 
-// Refs implements trace.BatchSink.
-func (g *Group) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		g.Ref(r)
-	}
-}
-
 // Block implements trace.BlockSink. A fused group probes every member
-// in one pass over the block (fusedScan); any other group decomposes
-// the block into a run-length-collapsed line stream once and replays
-// that stream across every member. Line numbers are packed as
-// line<<1|writeBit, which requires at least one free top bit — with a
-// degenerate 1-byte line size the per-reference path is used instead.
+// in one pass over the block (fusedScan); any other group expands each
+// row, run rows element by element, through Ref.
 func (g *Group) Block(b *trace.Block) {
-	if g.lineShift == 0 {
-		runs := b.Runs
-		for i := 0; i < b.Len(); i++ {
-			r := b.At(i)
-			n := uint32(1)
-			if runs != nil {
-				n = runs[i]
-			}
-			for ; n > 0; n-- {
-				g.Ref(r)
-				r.Addr += uint64(r.Size)
-			}
-		}
-		return
-	}
 	if g.fused {
 		g.fusedScan(b)
 		return
 	}
-	g.decompose(b)
-	g.replay()
+	runs := b.Runs
+	for i := 0; i < b.Len(); i++ {
+		r := b.At(i)
+		n := uint32(1)
+		if runs != nil {
+			n = runs[i]
+		}
+		for ; n > 0; n-- {
+			g.Ref(r)
+			r.Addr += uint64(r.Size)
+		}
+	}
 }
 
-// runAligned reports whether one run row decomposes in closed form: the
-// element size must be a nonzero power of two no larger than the line
-// size (hence a divisor of it), the start address a multiple of it — so
-// no element spans a line boundary and per-line element counts are
-// exact quotients — and the run must not wrap the 64-bit address space.
+// runAligned reports whether one run row splits into lines in closed
+// form: the element size must be a nonzero power of two no larger than
+// the line size (hence a divisor of it), the start address a multiple
+// of it — so no element spans a line boundary and per-line element
+// counts are exact quotients — and the run must not wrap the 64-bit
+// address space.
 // Producers honouring the Block contract only emit such rows; anything
 // else is expanded element by element in place.
 func runAligned(addr, sz, n uint64, shift uint) bool {
@@ -905,208 +831,6 @@ func (g *Group) probeRun(e0, n uint64) {
 	for ; n > 0; n-- {
 		g.probeEntry(e0)
 		e0 += 2
-	}
-}
-
-// decompose splits every reference in the block into cache-line
-// accesses for the general (non-fused) replay, collapsing consecutive
-// accesses to the same line into one entry when the group's members
-// allow it (rleOK; the write bit of a collapsed entry is the OR of its
-// members' write bits). The resulting runLines/runCounts stream replays
-// identically across every member, hoisting the span/shift work that
-// the per-reference path repeats per config per ref. Distinct-line
-// tracking happens here, at run-entry creation (one add per emitted
-// entry — identical to a pass over the finished stream, without the
-// extra traversal).
-func (g *Group) decompose(b *trace.Block) {
-	lines := g.runLines[:0]
-	counts := g.runCounts[:0]
-	seen := g.seen
-	shift := g.lineShift
-	runs := b.Runs
-	if g.rleOK {
-		var cur uint64
-		var curN uint32
-		have := false
-		for i, addr := range b.Addrs {
-			w := uint64(b.Kinds[i]) & 1
-			if runs != nil && runs[i] != 1 {
-				n := runs[i]
-				if n == 0 {
-					continue
-				}
-				sz := uint64(b.Sizes[i])
-				if !runAligned(addr, sz, uint64(n), shift) {
-					// Contract-violating run row: expand element by
-					// element through the span path, preserving the
-					// collapse state.
-					for ; n > 0; n-- {
-						first, last := span(addr, b.Sizes[i], shift)
-						for line := first; ; line++ {
-							if have && cur>>1 == line && curN < math.MaxUint32 {
-								cur |= w
-								curN++
-							} else {
-								if have {
-									lines = append(lines, cur)
-									counts = append(counts, curN)
-								}
-								cur, curN, have = line<<1|w, 1, true
-								seen.add(line)
-							}
-							if line == last {
-								break
-							}
-						}
-						addr += sz
-					}
-					continue
-				}
-				// Aligned run row: n single-line accesses walking lines
-				// first..last, with exact per-line counts computed in
-				// closed form instead of element by element.
-				first := addr >> shift
-				last := (addr + sz*uint64(n) - 1) >> shift
-				seen.addRange(first, last)
-				firstCnt := n
-				if first != last {
-					firstCnt = uint32((((first + 1) << shift) - addr) / sz)
-				}
-				if have && cur>>1 == first && curN <= math.MaxUint32-firstCnt {
-					cur |= w
-					curN += firstCnt
-				} else {
-					if have {
-						lines = append(lines, cur)
-						counts = append(counts, curN)
-					}
-					cur, curN, have = first<<1|w, firstCnt, true
-				}
-				if first == last {
-					continue
-				}
-				// wpl (elements per full line) cannot truncate in the
-				// uint32 cast whenever a full middle line exists: its
-				// count is bounded by the row's uint32 run length.
-				wpl := uint32((uint64(1) << shift) / sz)
-				rem := n - firstCnt
-				for line := first + 1; ; line++ {
-					cnt := wpl
-					if line == last {
-						cnt = rem
-					}
-					lines = append(lines, cur)
-					counts = append(counts, curN)
-					cur, curN = line<<1|w, cnt
-					if line == last {
-						break
-					}
-					rem -= wpl
-				}
-				continue
-			}
-			first, last := span(addr, b.Sizes[i], shift)
-			if first == last {
-				// Single-line reference: the overwhelming case for a
-				// word-granular stream, kept free of the line loop.
-				if have && cur>>1 == first {
-					cur |= w
-					curN++
-					continue
-				}
-				if have {
-					lines = append(lines, cur)
-					counts = append(counts, curN)
-				}
-				cur, curN, have = first<<1|w, 1, true
-				seen.add(first)
-				continue
-			}
-			for line := first; ; line++ {
-				if have && cur>>1 == line {
-					cur |= w
-					curN++
-				} else {
-					if have {
-						lines = append(lines, cur)
-						counts = append(counts, curN)
-					}
-					cur, curN, have = line<<1|w, 1, true
-					seen.add(line)
-				}
-				if line == last {
-					break
-				}
-			}
-		}
-		if have {
-			lines = append(lines, cur)
-			counts = append(counts, curN)
-		}
-	} else {
-		// Not collapsible (flush intervals or no-write-allocate members
-		// need every access): one entry per line access and no counts.
-		for i, addr := range b.Addrs {
-			w := uint64(b.Kinds[i]) & 1
-			if runs != nil && runs[i] != 1 {
-				// Per-access stream: expand the run one element at a
-				// time. Aligned elements hit exactly one line; a
-				// contract-violating row goes through span per element.
-				n := runs[i]
-				sz := uint64(b.Sizes[i])
-				a := addr
-				if !runAligned(addr, sz, uint64(n), shift) {
-					for ; n > 0; n-- {
-						first, last := span(a, b.Sizes[i], shift)
-						for line := first; ; line++ {
-							lines = append(lines, line<<1|w)
-							seen.add(line)
-							if line == last {
-								break
-							}
-						}
-						a += sz
-					}
-					continue
-				}
-				for ; n > 0; n-- {
-					line := a >> shift
-					lines = append(lines, line<<1|w)
-					seen.add(line)
-					a += sz
-				}
-				continue
-			}
-			first, last := span(addr, b.Sizes[i], shift)
-			for line := first; ; line++ {
-				lines = append(lines, line<<1|w)
-				seen.add(line)
-				if line == last {
-					break
-				}
-			}
-		}
-	}
-	g.runLines, g.runCounts = lines, counts
-}
-
-// replay feeds the decomposed line stream to every member cache.
-// Distinct-line tracking already happened during decomposition.
-func (g *Group) replay() {
-	lines := g.runLines
-	counts := g.runCounts
-	for _, c := range g.caches {
-		if g.rleOK {
-			for j, e := range lines {
-				c.accessLineRun(e>>1, e&1 != 0, uint64(counts[j]))
-			}
-		} else {
-			// Not collapsed: the exact per-access path, which handles
-			// flush intervals and no-write-allocate.
-			for _, e := range lines {
-				c.accessLine(e>>1, e&1 != 0)
-			}
-		}
 	}
 }
 

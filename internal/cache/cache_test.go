@@ -228,10 +228,10 @@ func TestQuickCacheInvariants(t *testing.T) {
 func TestWrappingRefTerminates(t *testing.T) {
 	top := ^uint64(0)
 	cases := []trace.Ref{
-		{Addr: top, Size: 4},           // starts on the last byte
-		{Addr: top - 3, Size: 8},       // crosses the top boundary
-		{Addr: top - 40, Size: 64},     // spans into the wrap
-		{Addr: top - 31, Size: 0},      // zero size at the edge
+		{Addr: top, Size: 4},             // starts on the last byte
+		{Addr: top - 3, Size: 8},         // crosses the top boundary
+		{Addr: top - 40, Size: 64},       // spans into the wrap
+		{Addr: top - 31, Size: 0},        // zero size at the edge
 		{Addr: top &^ 31, Size: 1 << 31}, // huge span from the last line
 	}
 	for _, r := range cases {
@@ -308,14 +308,15 @@ func TestLineSetPagedBitset(t *testing.T) {
 }
 
 // TestGroupBatchEquivalence feeds one random stream to two identical
-// groups — one per-ref, one in batches — and requires identical state.
+// groups — one per-ref, one in 113-row blocks — and requires identical
+// state.
 func TestGroupBatchEquivalence(t *testing.T) {
 	mk := func() *Group {
 		return NewGroup(Config{Size: 1 << 10}, Config{Size: 4 << 10}, Config{Size: 16 << 10, Assoc: 2})
 	}
 	single, batched := mk(), mk()
 	seed := uint64(7)
-	var batch []trace.Ref
+	var blk trace.Block
 	for i := 0; i < 50000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		r := trace.Ref{Addr: (seed >> 16) % (1 << 21), Size: uint32(4 + (seed>>8)%64)}
@@ -323,13 +324,13 @@ func TestGroupBatchEquivalence(t *testing.T) {
 			r.Kind = trace.Write
 		}
 		single.Ref(r)
-		batch = append(batch, r)
-		if len(batch) == 113 {
-			batched.Refs(batch)
-			batch = batch[:0]
+		blk.Append(r)
+		if blk.Len() == 113 {
+			batched.Block(&blk)
+			blk.Reset()
 		}
 	}
-	batched.Refs(batch)
+	batched.Block(&blk)
 	if single.DistinctLines() != batched.DistinctLines() {
 		t.Errorf("distinct lines: %d vs %d", single.DistinctLines(), batched.DistinctLines())
 	}

@@ -21,12 +21,10 @@ import (
 // placement artifact an allocator controls). Events are attributed per
 // region×thread, the axis the server experiment tables report.
 //
-// Sharing implements trace.Sink, trace.BatchSink and trace.BlockSink.
-// Classification depends only on the reference values and their order,
-// so deferred columnar delivery is sound, and results are independent
-// of the cache Group's shard count: Sharing is a separate sink that
-// consumes the full stream on the delivering goroutine. Like the other
-// simulators it is not safe for concurrent use.
+// Sharing implements trace.Sink and trace.BlockSink. Classification
+// depends only on the reference values and their order, so deferred
+// columnar delivery is sound. Like the other simulators it is not safe
+// for concurrent use.
 //
 // Thread identities come from trace.Ref.Tid / trace.Block.Tids. Holder
 // sets are 64-bit masks, so tids alias modulo 64; workloads stay well
@@ -118,13 +116,6 @@ func (s *Sharing) Ref(r trace.Ref) {
 	s.access(r.Addr, r.Size, r.Kind, r.Tid)
 }
 
-// Refs implements trace.BatchSink.
-func (s *Sharing) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		s.access(r.Addr, r.Size, r.Kind, r.Tid)
-	}
-}
-
 // Block implements trace.BlockSink. Aligned run rows are folded to one
 // protocol transition per line (equivalent to element-by-element
 // delivery: only a line's first element can suffer the event, and the
@@ -176,7 +167,7 @@ func (s *Sharing) access(addr uint64, size uint32, k trace.Kind, tid uint8) {
 }
 
 // runRow applies one run row. Aligned runs (power-of-two size dividing
-// the line) take the closed form; anything else replays element by
+// the line) take the closed form; anything else is expanded element by
 // element through access.
 func (s *Sharing) runRow(addr uint64, size uint32, k trace.Kind, n uint32, tid uint8) {
 	if n == 0 {

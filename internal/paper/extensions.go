@@ -366,9 +366,9 @@ func (r *Runner) ExtPenaltySweep(ctx context.Context) (*Table, error) {
 
 // extRun executes one ad-hoc simulation through arbitrary sinks,
 // returning the meter. Used by extensions whose instrumentation is not
-// expressible as a cache.Config list. References are batched (all the
-// locality simulators implement trace.BatchSink) and flushed before
-// returning, so callers may read sink state immediately.
+// expressible as a cache.Config list. References are batched (every
+// locality simulator implements trace.BlockSink or trace.BatchSink) and
+// flushed before returning, so callers may read sink state immediately.
 func (r *Runner) extRun(ctx context.Context, progName, allocName string, sink trace.Sink) (*cost.Meter, error) {
 	prog, ok := workload.ByName(progName)
 	if !ok {

@@ -221,12 +221,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Batched reference delivery: the counter, cache group, page
 	// simulator and sampler all implement trace.BlockSink, so the hot
 	// per-word emit devirtualizes into columnar buffer appends with one
-	// block fan-out per buffer fill (the cache group decomposes each
-	// block's addresses into a run-length-collapsed line stream once
-	// for all configurations). Order-sensitive sinks (obs.Attribution
-	// reads the meter's current domain per reference) implement neither
-	// BatchSink nor BlockSink and keep receiving every reference
-	// synchronously.
+	// block fan-out per buffer fill (the paper's direct-mapped cache
+	// group probes all its configurations in one scan per block).
+	// Order-sensitive sinks (obs.Attribution reads the meter's current
+	// domain per reference) implement neither BatchSink nor BlockSink
+	// and keep receiving every reference synchronously.
 	m.SetBatching(0)
 
 	a, err := alloc.New(cfg.Allocator, m)

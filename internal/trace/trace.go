@@ -24,10 +24,10 @@
 //
 // The columnar Block representation (struct-of-arrays: separate
 // address, size and kind columns) exists for the simulators' sake:
-// a cache group decomposes a whole block's addresses into a
-// run-length-collapsed cache-line stream once and replays it across
-// every configuration, and the VM stack simulator walks the address
-// column without loading sizes and kinds it mostly ignores.
+// the paper's direct-mapped cache group probes every configuration in
+// one scan over a block's address and kind columns, and the VM stack
+// simulator walks the address column without loading sizes and kinds
+// it mostly ignores.
 package trace
 
 // Kind distinguishes loads from stores.
@@ -88,7 +88,12 @@ type Sink interface {
 // between generation and flush). Sinks that need synchronous delivery —
 // like obs.Attribution, which reads the cost meter's current domain per
 // reference — simply implement plain Sink and keep receiving every
-// reference immediately; see Split.
+// reference immediately; see SplitBlocks.
+//
+// Every simulator that takes bulk delivery implements BlockSink, which
+// SplitBlocks prefers; BatchSink serves the sinks that consume
+// references one by one anyway: cache.Hierarchy, cache.VictimCache and
+// Filter.
 //
 // The batch slice is only valid for the duration of the call and may be
 // reused by the producer; copy it if it must be retained.
@@ -266,34 +271,6 @@ type BlockSink interface {
 	Block(*Block)
 }
 
-// Split partitions a sink graph into its batch-capable leaves and an
-// immediate-delivery remainder. Tees are flattened recursively (and
-// Discard/nil entries dropped) exactly as NewTee does; every leaf that
-// implements BatchSink lands in the batch slice, and the rest are
-// recombined into a single Sink (nil when there are none). Producers
-// use this to route buffered references to batchers at flush time while
-// still delivering synchronously to everything else.
-func Split(s Sink) ([]BatchSink, Sink) {
-	flat := flatten(nil, []Sink{s})
-	var batch []BatchSink
-	var rest Tee
-	for _, leaf := range flat {
-		if b, ok := leaf.(BatchSink); ok {
-			batch = append(batch, b)
-		} else {
-			rest = append(rest, leaf)
-		}
-	}
-	switch len(rest) {
-	case 0:
-		return batch, nil
-	case 1:
-		return batch, rest[0]
-	default:
-		return batch, rest
-	}
-}
-
 // SplitBlocks partitions a sink graph into three delivery tiers:
 // columnar-block leaves, slice-batch leaves that do not take blocks,
 // and the immediate-delivery remainder (nil when there are none). Tees
@@ -333,62 +310,20 @@ func (f SinkFunc) Ref(r Ref) { f(r) }
 
 type discardSink struct{}
 
-func (discardSink) Ref(Ref)      {}
-func (discardSink) Refs([]Ref)   {}
-func (discardSink) Block(*Block) {}
+func (discardSink) Ref(Ref) {}
 
 // Discard is a Sink that drops every reference.
 var Discard Sink = discardSink{}
 
-// Tee fans a reference stream out to several sinks in order.
+// Tee fans a reference stream out to several sinks in order, one
+// reference at a time. Batching producers (mem.Memory) flatten Tees
+// with SplitBlocks and deliver bulk references to the members directly.
 type Tee []Sink
 
 // Ref implements Sink.
 func (t Tee) Ref(r Ref) {
 	for _, s := range t {
 		s.Ref(r)
-	}
-}
-
-// Refs implements BatchSink: members that batch receive the whole
-// slice, the rest receive the references one by one.
-func (t Tee) Refs(batch []Ref) {
-	for _, s := range t {
-		if b, ok := s.(BatchSink); ok {
-			b.Refs(batch)
-			continue
-		}
-		for _, r := range batch {
-			s.Ref(r)
-		}
-	}
-}
-
-// Block implements BlockSink: members that take blocks receive the
-// block, slice-batchers receive a materialized []Ref (built at most
-// once per call), and the rest receive the references one by one. Hot
-// producers should prefer SplitBlocks and deliver to the leaves
-// directly; Tee.Block is the correct-but-unoptimized composition for
-// ad-hoc pipelines.
-func (t Tee) Block(blk *Block) {
-	var refs []Ref
-	for _, s := range t {
-		if b, ok := s.(BlockSink); ok {
-			b.Block(blk)
-			continue
-		}
-		// Materialize the expanded reference slice at most once and
-		// share it between slice-batchers and per-reference members.
-		if refs == nil {
-			refs = blk.AppendRefs(make([]Ref, 0, blk.Refs()))
-		}
-		if b, ok := s.(BatchSink); ok {
-			b.Refs(refs)
-			continue
-		}
-		for _, r := range refs {
-			s.Ref(r)
-		}
 	}
 }
 
@@ -440,13 +375,6 @@ func (c *Counter) Ref(r Ref) {
 	} else {
 		c.Reads++
 		c.BytesRead += uint64(r.Size)
-	}
-}
-
-// Refs implements BatchSink.
-func (c *Counter) Refs(batch []Ref) {
-	for _, r := range batch {
-		c.Ref(r)
 	}
 }
 

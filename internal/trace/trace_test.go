@@ -174,33 +174,36 @@ func TestQuickCounterTotals(t *testing.T) {
 	}
 }
 
-func TestTeeRefsBatch(t *testing.T) {
-	var c1, c2 Counter
-	var plain Recorder // plain Sink: receives per-ref fan-out
-	tee := Tee{&c1, &plain, &c2}
-	batch := []Ref{
-		{Addr: 0, Size: 4},
-		{Addr: 8, Size: 4, Kind: Write},
-		{Addr: 16, Size: 8},
+// TestCounterBlockMatchesRefs: Counter.Block must tally exactly what
+// per-Ref delivery of the expanded block tallies, for blocks without a
+// Runs column and for blocks mixing plain, run and tid-stamped rows.
+func TestCounterBlockMatchesRefs(t *testing.T) {
+	var plain, mixed Block
+	for i := uint64(0); i < 64; i++ {
+		k := Read
+		if i%3 == 0 {
+			k = Write
+		}
+		r := Ref{Addr: i * 24, Size: uint32(i % 9), Kind: k, Tid: uint8(i % 4)}
+		plain.Append(r)
+		if i%5 == 0 {
+			mixed.AppendRunTid(r.Addr, 8, k, uint32(1+i%7), r.Tid)
+		} else {
+			mixed.Append(r)
+		}
 	}
-	tee.Refs(batch)
-	if c1.Total() != 3 || c2.Total() != 3 || len(plain.Refs) != 3 {
-		t.Errorf("batch fan-out: c1=%d c2=%d plain=%d", c1.Total(), c2.Total(), len(plain.Refs))
+	if plain.Runs != nil || plain.Tids == nil || mixed.Runs == nil || mixed.Tids == nil {
+		t.Fatal("test blocks lack the intended columns")
 	}
-	if c1.Writes != 1 || c1.BytesRead != 12 {
-		t.Errorf("counter state: %+v", c1)
-	}
-}
-
-func TestCounterBatchMatchesSingle(t *testing.T) {
-	refs := []Ref{{Addr: 0, Size: 4}, {Addr: 4, Size: 8, Kind: Write}, {Addr: 32, Size: 0}}
-	var a, b Counter
-	for _, r := range refs {
-		a.Ref(r)
-	}
-	b.Refs(refs)
-	if a != b {
-		t.Errorf("batch %+v != single %+v", b, a)
+	for name, b := range map[string]*Block{"plain": &plain, "mixed": &mixed} {
+		var byRef, byBlock Counter
+		for _, r := range b.AppendRefs(nil) {
+			byRef.Ref(r)
+		}
+		byBlock.Block(b)
+		if byRef != byBlock {
+			t.Errorf("%s: block %+v != per-ref %+v", name, byBlock, byRef)
+		}
 	}
 }
 
@@ -213,42 +216,56 @@ func TestFilterBatch(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	var c Counter      // BatchSink
-	var rec Recorder   // plain Sink (Refs is a field)
-	var rec2 Recorder  // second plain sink: remainder becomes a Tee
+// TestSplitBlocks: SplitBlocks flattens nested Tees, drops Discard and
+// nil, puts BlockSinks on the block tier and slice-only BatchSinks on
+// the batch tier, and recombines what is left into one immediate sink.
+func TestSplitBlocks(t *testing.T) {
+	var c, c2 Counter                                                 // BlockSink
+	f := &Filter{Keep: func(Ref) bool { return true }, Next: Discard} // BatchSink only
+	var rec Recorder                                                  // plain Sink (Refs is a field)
+	var rec2 Recorder                                                 // second plain sink: the remainder becomes a Tee
 	fn := SinkFunc(func(Ref) {})
 
-	// All-batch graph: no remainder.
-	batch, rest := Split(NewTee(&c, Discard))
-	if len(batch) != 1 || rest != nil {
-		t.Errorf("all-batch split: %d batchers, rest %v", len(batch), rest)
+	// Block leaves only: no batch tier, no remainder.
+	blocks, batch, rest := SplitBlocks(NewTee(&c, Discard, &c2))
+	if len(blocks) != 2 || blocks[0] != BlockSink(&c) || blocks[1] != BlockSink(&c2) || len(batch) != 0 || rest != nil {
+		t.Errorf("block-only split: %v, %v, %v", blocks, batch, rest)
 	}
 
-	// Mixed graph, nested tee: batchers extracted, single leftover
-	// returned directly.
-	batch, rest = Split(NewTee(&c, Tee{&rec}))
-	if len(batch) != 1 || rest != Sink(&rec) {
-		t.Errorf("mixed split: %d batchers, rest %T", len(batch), rest)
+	// Filter takes slices but not blocks.
+	blocks, batch, rest = SplitBlocks(NewTee(f, &c))
+	if len(blocks) != 1 || blocks[0] != BlockSink(&c) || len(batch) != 1 || batch[0] != BatchSink(f) || rest != nil {
+		t.Errorf("filter split: %v, %v, %v", blocks, batch, rest)
 	}
 
-	// Multiple leftovers recombine into a Tee.
-	batch, rest = Split(NewTee(&c, &rec, &rec2, fn))
-	if len(batch) != 1 {
-		t.Errorf("batchers = %d", len(batch))
-	}
-	if tee, ok := rest.(Tee); !ok || len(tee) != 3 {
-		t.Errorf("rest = %T %v, want 3-element Tee", rest, rest)
+	// A single leftover is returned directly.
+	_, _, rest = SplitBlocks(NewTee(&c, Tee{&rec}))
+	if rest != Sink(&rec) {
+		t.Errorf("single leftover = %T, want *Recorder", rest)
 	}
 
-	// Discard-only graph: nothing at all.
-	batch, rest = Split(Discard)
-	if len(batch) != 0 || rest != nil {
-		t.Errorf("discard split: %d batchers, rest %v", len(batch), rest)
+	// Several leftovers recombine into a Tee, in order.
+	blocks, batch, rest = SplitBlocks(NewTee(&rec, &c, &rec2, f, fn))
+	if len(blocks) != 1 || len(batch) != 1 {
+		t.Errorf("mixed split: %d block, %d batch leaves", len(blocks), len(batch))
+	}
+	if tee, ok := rest.(Tee); !ok || len(tee) != 3 || tee[0] != Sink(&rec) || tee[1] != Sink(&rec2) {
+		t.Errorf("rest = %T %v, want Tee{rec, rec2, fn}", rest, rest)
+	}
+
+	// A hand-built nested Tee flattens with Discard and nil dropped at
+	// every depth.
+	blocks, batch, rest = SplitBlocks(Tee{&c, Tee{f, Tee{&c2, Discard}, nil}, &rec})
+	if len(blocks) != 2 || blocks[0] != BlockSink(&c) || blocks[1] != BlockSink(&c2) ||
+		len(batch) != 1 || rest != Sink(&rec) {
+		t.Errorf("nested split: %v, %v, %v", blocks, batch, rest)
+	}
+
+	// Discard alone: nothing on any tier.
+	blocks, batch, rest = SplitBlocks(Discard)
+	if len(blocks) != 0 || len(batch) != 0 || rest != nil {
+		t.Errorf("discard split: %v, %v, %v", blocks, batch, rest)
 	}
 }
 
-var _ BatchSink = (*Counter)(nil)
-var _ BatchSink = (Tee)(nil)
 var _ BatchSink = (*Filter)(nil)
-var _ BatchSink = discardSink{}
