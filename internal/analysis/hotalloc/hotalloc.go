@@ -2,10 +2,11 @@
 // simulation hot paths: the per-block and per-reference functions of
 // the cache, VM and trace layers (the fused cache.Group sweep,
 // lineSet.add/addRange, the vm.StackSim probe and its Fenwick engine,
-// the trace.Block append paths and mem.Memory's touch/emit pipeline)
-// execute once per simulated memory reference, so a single heap allocation there is
-// multiplied by hundreds of millions and drowns the placement effects
-// the paper measures in harness noise.
+// the trace.Block append paths, mem.Memory's touch/emit pipeline and
+// the workload model's reference generator) execute once per simulated
+// memory reference, so a single heap allocation there is multiplied by
+// hundreds of millions and drowns the placement effects the paper
+// measures in harness noise.
 //
 // Two layers of evidence feed the same diagnostic stream:
 //
@@ -42,7 +43,7 @@ import (
 // Analyzer is the hotalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "per-reference hot paths in cache/vm/trace/mem must not allocate: no closures, boxing, make/new or escaping values (append into reused buffers is exempt and pinned by AllocsPerRun tests)",
+	Doc:  "per-reference hot paths in cache/vm/trace/mem/workload must not allocate: no closures, boxing, make/new or escaping values (append into reused buffers is exempt and pinned by AllocsPerRun tests)",
 	Run:  run,
 }
 
@@ -69,6 +70,10 @@ var hotFuncs = map[string]map[string]map[string]bool{
 	},
 	"mem": {
 		"Memory": set("Touch", "TouchRun", "emit"),
+	},
+	"workload": {
+		"model":  set("initObject", "emitRefs", "stackRef", "globalRef", "heapRun", "pickObject"),
+		"stream": set("promote"),
 	},
 }
 

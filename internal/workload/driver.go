@@ -29,13 +29,6 @@ type Config struct {
 	// requested from the OS. The series shows how each allocator's
 	// space overhead evolves (the paper's §4.1 space-efficiency axis).
 	SampleEvery uint64
-	// DisableLocalityHints suppresses the birth-phase locality hints the
-	// driver passes to hint-aware allocators (alloc.LocalityHinter),
-	// forcing the plain Malloc/MallocSite path. Runs against allocators
-	// that do not exploit hints are byte-identical either way — the hint
-	// is computed without consuming randomness or charging instructions —
-	// so the knob exists to measure what hinting itself buys.
-	DisableLocalityHints bool
 }
 
 // Sample is one point of the fragmentation time series.
@@ -139,42 +132,129 @@ func (q *deathQueue) pop() deathEvent {
 	return top
 }
 
-// driver holds one run's state.
-type driver struct {
+// model is the heap and reference model both drivers run on: the
+// charged allocator call, the live set, the global segment and the
+// per-reference generator that spends a reference budget on stack,
+// global and heap words. The program driver embeds one model and one
+// stream; the server driver embeds one model and gives each logical
+// thread its own stream.
+type model struct {
 	m      *mem.Memory
 	a      alloc.Allocator
-	hinter alloc.LocalityHinter // non-nil only when hints are on and exploited
+	hinter alloc.LocalityHinter // non-nil only when a exploits hints
 	meter  *cost.Meter
-	prog   Program
 
 	sizeRng *rng.Rand
 	lifeRng *rng.Rand
 	refRng  *rng.Rand
 
-	churnDist    *rng.Discrete
-	churnSizes   []uint32
-	immortalDist *rng.Discrete
-	immortalSzs  []uint32
-	windowZipf   *rng.Zipf
-	globalZipf   *rng.Zipf
-
-	live   []*object
-	deaths deathQueue
-	window [windowSize]*object
-	wpos   int
-
-	stackBase  uint64
-	sp         uint64
-	globalBase uint64
+	windowZipf *rng.Zipf
+	globalZipf *rng.Zipf
 	globalHot  []uint64
+
+	// stackFrac and globalFrac split data references between the
+	// issuing stream's stack and the global segment; the rest go to the
+	// heap.
+	stackFrac  float64
+	globalFrac float64
 
 	refsAcc  float64 // reference budget accumulator
 	refsStep uint64  // references emitted this step
 
+	live      []*object
 	liveBytes uint64
-	nonHeap   []*mem.Region // stack + globals, excluded from heap samples
 
 	stats Stats
+}
+
+// init prepares the model for one run of the named workload and returns
+// the root generator, from which a driver may split further streams
+// after the model's size, lifetime and reference generators.
+func (d *model) init(m *mem.Memory, a alloc.Allocator, name string, seed uint64, stackFrac, globalFrac float64) *rng.Rand {
+	d.m, d.a, d.meter = m, a, m.Meter()
+	if d.meter == nil {
+		d.meter = &cost.Meter{}
+	}
+	// Locality hints flow only to allocators that natively exploit them.
+	// alloc.HintAware sees through instrumentation wrappers (which
+	// implement MallocLocal unconditionally as a transparent fallback):
+	// without the probe, a wrapped site-aware allocator would be routed
+	// down the hint path and lose its site information.
+	if alloc.HintAware(a) {
+		d.hinter, _ = a.(alloc.LocalityHinter)
+	}
+	root := rng.New(seed ^ hashName(name))
+	d.sizeRng = root.Split()
+	d.lifeRng = root.Split()
+	d.refRng = root.Split()
+	d.windowZipf = rng.NewZipf(windowSize, zipfExp)
+	d.stackFrac, d.globalFrac = stackFrac, globalFrac
+	d.stats.Program = name
+	return root
+}
+
+// newStream creates one logical thread's stack segment — a small,
+// intensely hot region — and the stream that references it.
+func (d *model) newStream(name string) (stream, *mem.Region, error) {
+	stack := d.m.NewRegion(name, 64*1024)
+	sb, err := stack.Sbrk(8 * 1024)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	return stream{stackBase: sb, sp: 1024}, stack, nil
+}
+
+// newGlobals creates the global segment with a Zipf-hot set of 64 word
+// addresses.
+func (d *model) newGlobals(name string, bytes uint64) (*mem.Region, error) {
+	globals := d.m.NewRegion(name, 0)
+	gb, err := globals.Sbrk(bytes)
+	if err != nil {
+		return nil, err
+	}
+	d.globalHot = make([]uint64, 64)
+	for i := range d.globalHot {
+		d.globalHot[i] = gb + mem.AlignUp(d.refRng.Uint64n(bytes-4), mem.WordSize)
+	}
+	d.globalZipf = rng.NewZipf(len(d.globalHot), 1.0)
+	return globals, nil
+}
+
+// finish records the live set at exit and returns the run's stats.
+func (d *model) finish() Stats {
+	d.stats.FinalLive = uint64(len(d.live))
+	d.stats.LiveBytes = d.liveBytes
+	return d.stats
+}
+
+// stream is one logical thread's reference state: its stack pointer
+// and the recency window of objects it used last.
+type stream struct {
+	stackBase uint64
+	sp        uint64
+	window    [windowSize]*object
+	wpos      int
+}
+
+// promote makes o the stream's most recently used object.
+func (s *stream) promote(o *object) {
+	s.window[s.wpos] = o
+	s.wpos = (s.wpos + 1) % windowSize
+}
+
+// driver holds one program run's state.
+type driver struct {
+	model
+	stream
+	prog Program
+
+	churnDist    *rng.Discrete
+	churnSizes   []uint32
+	immortalDist *rng.Discrete
+	immortalSzs  []uint32
+
+	deaths  deathQueue
+	nonHeap []*mem.Region // stack + globals, excluded from heap samples
 }
 
 // cancelCheckEvery is the cancellation-poll cadence of the driver's
@@ -205,51 +285,21 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 		cfg.Scale = 1
 	}
 	p := cfg.Program
-	d := &driver{m: m, a: a, meter: m.Meter(), prog: p}
-	if d.meter == nil {
-		d.meter = &cost.Meter{}
-	}
-	// Locality hints flow only to allocators that natively exploit them.
-	// alloc.HintAware sees through instrumentation wrappers (which
-	// implement MallocLocal unconditionally as a transparent fallback):
-	// without the probe, a wrapped site-aware allocator would be routed
-	// down the hint path and lose its site information.
-	if !cfg.DisableLocalityHints && alloc.HintAware(a) {
-		d.hinter, _ = a.(alloc.LocalityHinter)
-	}
-
-	root := rng.New(cfg.Seed ^ hashName(p.Name))
-	d.sizeRng = root.Split()
-	d.lifeRng = root.Split()
-	d.refRng = root.Split()
-
+	d := &driver{prog: p}
+	d.init(m, a, p.Name, cfg.Seed, p.StackFrac, p.GlobalFrac)
 	d.churnDist, d.churnSizes = buildDist(p.ChurnSizes)
 	d.immortalDist, d.immortalSzs = buildDist(p.ImmortalSizes)
-	d.windowZipf = rng.NewZipf(windowSize, zipfExp)
-	d.globalZipf = rng.NewZipf(64, 1.0)
 
-	// Stack segment: a small, intensely hot region.
-	stack := m.NewRegion(p.Name+"-stack", 64*1024)
-	sb, err := stack.Sbrk(8 * 1024)
+	s, stack, err := d.newStream(p.Name + "-stack")
 	if err != nil {
 		return Stats{}, err
 	}
-	d.stackBase = sb
-	d.sp = 1024
-	d.nonHeap = append(d.nonHeap, stack)
-
-	// Global segment with a Zipf-hot set of word addresses.
-	globals := m.NewRegion(p.Name+"-globals", 0)
-	gb, err := globals.Sbrk(p.GlobalBytes)
+	d.stream = s
+	globals, err := d.newGlobals(p.Name+"-globals", p.GlobalBytes)
 	if err != nil {
 		return Stats{}, err
 	}
-	d.globalBase = gb
-	d.nonHeap = append(d.nonHeap, globals)
-	d.globalHot = make([]uint64, 64)
-	for i := range d.globalHot {
-		d.globalHot[i] = gb + mem.AlignUp(d.refRng.Uint64n(p.GlobalBytes-4), mem.WordSize)
-	}
+	d.nonHeap = append(d.nonHeap, stack, globals)
 
 	nAllocs := p.Allocs / cfg.Scale
 	if nAllocs == 0 {
@@ -276,7 +326,6 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 	refsPerStep := p.RefsPerAlloc()
 	instrPerStep := p.InstrPerAlloc()
 
-	d.stats.Program = p.Name
 	var frees uint64 // amortized cancellation poll across death drains
 	for step := uint64(0); step < nAllocs; step++ {
 		if step%cancelCheckEvery == 0 && ctx.Err() != nil {
@@ -296,7 +345,7 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 					p.Name, step, nAllocs, context.Cause(ctx))
 			}
 			ev := d.deaths.pop()
-			if err := d.freeObject(ev.obj); err != nil {
+			if err := d.free(ev.obj); err != nil {
 				return d.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
 			}
 		}
@@ -324,10 +373,11 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 			site = churnSiteBase + uint32(idx)
 		}
 
-		obj, err := d.mallocObject(size, site, uint32(step>>localityPhaseShift))
+		obj, err := d.malloc(size, site, uint32(step>>localityPhaseShift))
 		if err != nil {
 			return d.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
 		}
+		d.promote(obj)
 		if !immortal {
 			death := step + 1 + d.sampleLife()
 			// Phase behaviour: deaths land on batch boundaries, so the
@@ -343,7 +393,7 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 		d.initObject(obj)
 		// ...then computes, referencing stack, globals and the heap.
 		d.refsAcc += refsPerStep - float64(d.refsStep)
-		d.emitRefs()
+		d.emitRefs(&d.stream)
 		// Pure-compute instructions fill out the instruction budget
 		// (each reference already charged one instruction).
 		if extra := instrPerStep - float64(d.refsStep); extra > 1 {
@@ -354,12 +404,7 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 			d.stats.Samples = append(d.stats.Samples, d.sample(step))
 		}
 	}
-
-	d.stats.FinalLive = uint64(len(d.live))
-	for _, o := range d.live {
-		d.stats.LiveBytes += uint64(o.size)
-	}
-	return d.stats, nil
+	return d.finish(), nil
 }
 
 func hashName(s string) uint64 {
@@ -407,7 +452,19 @@ const (
 // byte-identical.
 const localityPhaseShift = 6
 
-func (d *driver) mallocObject(size uint32, site uint32, hint uint32) (*object, error) {
+// sample captures one fragmentation time-series point.
+func (d *driver) sample(step uint64) Sample {
+	heap := d.m.Footprint()
+	for _, r := range d.nonHeap {
+		heap -= r.Size()
+	}
+	return Sample{Step: step, LiveBytes: d.liveBytes, HeapBytes: heap}
+}
+
+// malloc allocates size bytes in the malloc cost domain. A hint-aware
+// allocator receives the locality hint, a site-aware one the call site,
+// and everything else plain Malloc.
+func (d *model) malloc(size, site, hint uint32) (*object, error) {
 	prev := d.meter.Enter(cost.Malloc)
 	d.meter.Charge(alloc.CallOverhead)
 	var addr uint64
@@ -428,12 +485,10 @@ func (d *driver) mallocObject(size uint32, site uint32, hint uint32) (*object, e
 	d.liveBytes += uint64(size)
 	o := &object{addr: addr, size: size, idx: len(d.live)}
 	d.live = append(d.live, o)
-	d.window[d.wpos] = o
-	d.wpos = (d.wpos + 1) % windowSize
 	return o, nil
 }
 
-func (d *driver) freeObject(o *object) error {
+func (d *model) free(o *object) error {
 	prev := d.meter.Enter(cost.Free)
 	d.meter.Charge(alloc.CallOverhead)
 	err := d.a.Free(o.addr)
@@ -451,20 +506,11 @@ func (d *driver) freeObject(o *object) error {
 	return nil
 }
 
-// sample captures one fragmentation time-series point.
-func (d *driver) sample(step uint64) Sample {
-	heap := d.m.Footprint()
-	for _, r := range d.nonHeap {
-		heap -= r.Size()
-	}
-	return Sample{Step: step, LiveBytes: d.liveBytes, HeapBytes: heap}
-}
-
 // initObject writes every word of the fresh object, as real programs
 // initialize their allocations. Large objects (GhostScript buffers) can
 // exceed one step's reference budget; the accumulator carries the debt
 // forward so total references stay on target.
-func (d *driver) initObject(o *object) {
+func (d *model) initObject(o *object) {
 	words := uint64(o.size) / mem.WordSize
 	if words == 0 {
 		d.m.Touch(o.addr, o.size, trace.Write)
@@ -475,50 +521,52 @@ func (d *driver) initObject(o *object) {
 	d.refsStep += words
 }
 
-// emitRefs spends the accumulated reference budget on a locality-shaped
-// mix of stack, global and heap references.
-func (d *driver) emitRefs() {
-	p := d.prog
+// emitRefs spends the accumulated reference budget on s's
+// locality-shaped mix of stack, global and heap references.
+func (d *model) emitRefs(s *stream) {
 	for d.refsAcc >= 1 {
 		r := d.refRng.Float64()
 		switch {
-		case r < p.StackFrac:
-			d.stackRef()
+		case r < d.stackFrac:
+			d.stackRef(s)
 			d.refsAcc--
 			d.refsStep++
-		case r < p.StackFrac+p.GlobalFrac:
+		case r < d.stackFrac+d.globalFrac:
 			d.globalRef()
 			d.refsAcc--
 			d.refsStep++
 		default:
-			n := d.heapRun()
+			n := d.heapRun(s)
 			d.refsAcc -= float64(n)
 			d.refsStep += n
 		}
 	}
 }
 
-// stackRef models a procedure-call stack: the pointer random-walks in a
-// narrow band and references land near it.
-func (d *driver) stackRef() {
+// stackRef models a procedure-call stack: s's pointer random-walks in a
+// narrow band of its private stack and references land near it.
+func (d *model) stackRef(s *stream) {
 	delta := int64(d.refRng.Uint64n(129)) - 64
-	sp := int64(d.sp) + delta
+	sp := int64(s.sp) + delta
 	if sp < 64 {
 		sp = 64
 	}
 	if sp > 1984 {
 		sp = 1984
 	}
-	d.sp = uint64(sp)
-	off := d.sp - d.refRng.Uint64n(16)*mem.WordSize
+	s.sp = uint64(sp)
+	off := s.sp - d.refRng.Uint64n(16)*mem.WordSize
 	kind := trace.Read
 	if d.refRng.Bool(0.45) {
 		kind = trace.Write
 	}
-	d.m.Touch(d.stackBase+mem.AlignUp(off, mem.WordSize), mem.WordSize, kind)
+	d.m.Touch(s.stackBase+mem.AlignUp(off, mem.WordSize), mem.WordSize, kind)
 }
 
-func (d *driver) globalRef() {
+// globalRef touches the Zipf-hot global words. Under the server's
+// concurrent writers these lines ping-pong identically for every
+// allocator: the allocator-independent true-sharing floor.
+func (d *model) globalRef() {
 	addr := d.globalHot[d.globalZipf.Sample(d.refRng)]
 	kind := trace.Read
 	if d.refRng.Bool(0.2) {
@@ -528,13 +576,14 @@ func (d *driver) globalRef() {
 }
 
 // heapRun references a short sequential run of words inside one live
-// object, chosen mostly from the recency window (temporal locality)
-// and otherwise uniformly from the live set.
-func (d *driver) heapRun() uint64 {
-	o := d.pickObject()
+// object, chosen mostly from s's recency window (temporal locality)
+// and otherwise uniformly from the whole live set — under the server,
+// occasionally another thread's object.
+func (d *model) heapRun(s *stream) uint64 {
+	o := d.pickObject(s)
 	if o == nil {
 		// Nothing live: burn one reference on the stack instead.
-		d.stackRef()
+		d.stackRef(s)
 		return 1
 	}
 	words := uint64(o.size) / mem.WordSize
@@ -552,13 +601,11 @@ func (d *driver) heapRun() uint64 {
 		kind = trace.Write
 	}
 	d.m.TouchRun(o.addr+start*mem.WordSize, run, kind)
-	// Promote the object in the recency window.
-	d.window[d.wpos] = o
-	d.wpos = (d.wpos + 1) % windowSize
+	s.promote(o)
 	return run
 }
 
-func (d *driver) pickObject() *object {
+func (d *model) pickObject(s *stream) *object {
 	if len(d.live) == 0 {
 		return nil
 	}
@@ -566,10 +613,12 @@ func (d *driver) pickObject() *object {
 		// Most recent = rank 0: the window is a ring, so walk back from
 		// the last insertion point.
 		rank := d.windowZipf.Sample(d.refRng)
-		pos := (d.wpos - 1 - rank + 2*windowSize) % windowSize
-		if o := d.window[pos]; o != nil && !o.dead {
+		pos := (s.wpos - 1 - rank + 2*windowSize) % windowSize
+		if o := s.window[pos]; o != nil && !o.dead {
 			return o
 		}
 	}
-	return d.live[d.refRng.Intn(len(d.live))]
+	// Uint64n is the draw Intn makes, without Intn's n <= 0 panic (the
+	// guard above rules it out) and the boxed message it would escape.
+	return d.live[d.refRng.Uint64n(uint64(len(d.live)))]
 }

@@ -10,9 +10,24 @@ import (
 	"mallocsim/internal/trace"
 )
 
-// runHinted executes one run with explicit control over the
-// locality-hint knob and optional obs instrumentation.
-func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats, cost.Snapshot, trace.Counter, uint64) {
+// noHints hides its allocator's locality hints from the driver: the
+// embedded interface exposes only Malloc and Free, there is no Unwrap
+// for alloc.HintAware to follow, and MallocSite forwards to a
+// site-aware inner allocator so the site path stays intact. A
+// non-site-aware inner allocator sees plain Malloc, as the driver
+// would have called it.
+type noHints struct{ alloc.Allocator }
+
+func (n noHints) MallocSite(size, site uint32) (uint64, error) {
+	if sa, ok := n.Allocator.(alloc.SiteAllocator); ok {
+		return sa.MallocSite(size, site)
+	}
+	return n.Allocator.Malloc(size)
+}
+
+// runHinted executes one run, optionally with the allocator's hints
+// hidden behind noHints and optionally under obs instrumentation.
+func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, cost.Snapshot, trace.Counter, uint64) {
 	t.Helper()
 	meter := &cost.Meter{}
 	var counter trace.Counter
@@ -21,6 +36,9 @@ func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if hide {
+		a = noHints{a}
+	}
 	if instrument {
 		a = obs.Instrument(a, meter, &obs.Recorder{})
 	}
@@ -28,15 +46,15 @@ func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats,
 	if !ok {
 		t.Fatal("no espresso program")
 	}
-	stats, err := Run(m, a, Config{Program: prog, Scale: 512, Seed: 3, DisableLocalityHints: disable})
+	stats, err := Run(m, a, Config{Program: prog, Scale: 512, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return stats, meter.Snapshot(), counter, m.Footprint()
 }
 
-// For allocators that do not implement alloc.LocalityHinter, the hint
-// knob must be invisible: hints-on and hints-off runs are
+// For allocators that do not implement alloc.LocalityHinter, hints must
+// be invisible: a run and the same run with hints hidden are
 // byte-identical in every observable (the hint derivation consumes no
 // randomness and charges nothing).
 func TestHintsNoopForNonHintingAllocators(t *testing.T) {
@@ -61,7 +79,7 @@ func TestHintsNoopForNonHintingAllocators(t *testing.T) {
 }
 
 // For a hint-aware allocator the hints must actually steer placement:
-// disabling them changes the reference stream (same op counts, a
+// hiding them changes the reference stream (same op counts, a
 // different heap layout).
 func TestHintsSteerLocarena(t *testing.T) {
 	s1, _, c1, f1 := runHinted(t, "locarena", false, false)

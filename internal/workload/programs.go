@@ -15,7 +15,8 @@
 // The driver (Run) replays a program model against a real allocator on
 // simulated memory: the allocator's placement decisions determine where
 // the application's heap references land, which is exactly the coupling
-// the paper measures.
+// the paper measures. The server driver (RunServer) drives the same
+// heap and reference model once per logical thread.
 package workload
 
 // SizeWeight is one entry of a discrete object-size distribution.

@@ -24,8 +24,9 @@ import (
 // — while session headers, handoff payloads and hot globals produce
 // true sharing for every allocator.
 //
-// The model runs on one goroutine: "threads" are logical identities
-// replayed deterministically via internal/rng, so runs are
+// The server drives the program driver's heap and reference model once
+// per logical thread, on one goroutine: "threads" are logical
+// identities replayed deterministically via internal/rng, so runs are
 // byte-identical at any simulator worker or shard count.
 type ServerConfig struct {
 	// Name identifies the scenario ("server"); it doubles as the
@@ -141,20 +142,13 @@ type ServerRunConfig struct {
 	Scenario ServerConfig
 	Scale    uint64
 	Seed     uint64
-	// DisableLocalityHints forces the plain Malloc/MallocSite path, as
-	// in Config. The server's hint is the allocating thread's id, so a
-	// hint-aware allocator can segregate per-thread streams into
-	// per-thread arenas.
-	DisableLocalityHints bool
 }
 
-// serverThread is one logical worker's replay state.
+// serverThread is one logical worker: its reference stream plus its
+// free queues.
 type serverThread struct {
-	id        uint8
-	stackBase uint64
-	sp        uint64
-	window    [windowSize]*object
-	wpos      int
+	stream
+	id uint8
 	// inbox holds objects produced by other threads and handed to this
 	// one: the consumer reads the payload and frees it cross-thread.
 	inbox []*object
@@ -170,46 +164,30 @@ type serverSession struct {
 }
 
 type serverDriver struct {
-	m      *mem.Memory
-	a      alloc.Allocator
-	hinter alloc.LocalityHinter
-	meter  *cost.Meter
-	scen   ServerConfig
+	model
+	scen ServerConfig
 
-	sizeRng  *rng.Rand
-	lifeRng  *rng.Rand
-	refRng   *rng.Rand
-	routeRng *rng.Rand
-
+	routeRng    *rng.Rand
 	reqDist     *rng.Discrete
 	reqSizes    []uint32
 	sesDist     *rng.Discrete
 	sesSizes    []uint32
-	windowZipf  *rng.Zipf
-	globalZipf  *rng.Zipf
 	sessionZipf *rng.Zipf
 
 	threads  []serverThread
 	sessions []serverSession
 
-	live       []*object
-	globalBase uint64
-	globalHot  []uint64
-
-	refsAcc  float64
-	refsStep uint64
-
-	liveBytes uint64
-	frees     uint64 // amortized cancellation poll across all free drains
-
-	stats Stats
+	frees uint64 // amortized cancellation poll across all free drains
 }
 
-// RunServer drives the server scenario against allocator a on memory m.
-// Like Run it requires the allocator to be constructed on the same
-// memory; references flow to m's sink with the issuing thread stamped
-// via SetTid, so a cache.Sharing sink downstream sees per-thread
-// streams.
+// RunServer drives the server scenario against allocator a on memory m:
+// the program driver's heap and reference model, replayed once per
+// logical thread. Like Run it requires the allocator to be constructed
+// on the same memory; references flow to m's sink with the issuing
+// thread stamped via SetTid, so a cache.Sharing sink downstream sees
+// per-thread streams. The locality hint a hint-aware allocator receives
+// is the allocating thread's id, so it can give each logical thread its
+// own arena.
 func RunServer(m *mem.Memory, a alloc.Allocator, cfg ServerRunConfig) (Stats, error) {
 	return RunServerContext(context.Background(), m, a, cfg)
 }
@@ -226,24 +204,11 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	d := &serverDriver{m: m, a: a, meter: m.Meter(), scen: scen}
-	if d.meter == nil {
-		d.meter = &cost.Meter{}
-	}
-	if !cfg.DisableLocalityHints && alloc.HintAware(a) {
-		d.hinter, _ = a.(alloc.LocalityHinter)
-	}
-
-	root := rng.New(cfg.Seed ^ hashName(scen.Name))
-	d.sizeRng = root.Split()
-	d.lifeRng = root.Split()
-	d.refRng = root.Split()
+	d := &serverDriver{scen: scen}
+	root := d.init(m, a, scen.Name, cfg.Seed, scen.StackFrac, scen.GlobalFrac)
 	d.routeRng = root.Split()
-
 	d.reqDist, d.reqSizes = buildDist(scen.ReqSizes)
 	d.sesDist, d.sesSizes = buildDist(scen.SessionSizes)
-	d.windowZipf = rng.NewZipf(windowSize, zipfExp)
-	d.globalZipf = rng.NewZipf(64, 1.0)
 	d.sessionZipf = rng.NewZipf(scen.Sessions, 1.05)
 
 	// Per-thread stack segments plus one shared global segment; all are
@@ -254,29 +219,20 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 		if ctx.Err() != nil {
 			return d.stats, fmt.Errorf("server %s: aborted during setup: %w", scen.Name, context.Cause(ctx))
 		}
-		stack := m.NewRegion(fmt.Sprintf("%s-stack%d", scen.Name, t), 64*1024)
-		sb, err := stack.Sbrk(8 * 1024)
+		s, _, err := d.newStream(fmt.Sprintf("%s-stack%d", scen.Name, t))
 		if err != nil {
 			return Stats{}, err
 		}
-		d.threads[t] = serverThread{id: uint8(t), stackBase: sb, sp: 1024}
+		d.threads[t] = serverThread{stream: s, id: uint8(t)}
 	}
-	globals := m.NewRegion(scen.Name+"-globals", 0)
-	gb, err := globals.Sbrk(scen.GlobalBytes)
-	if err != nil {
+	if _, err := d.newGlobals(scen.Name+"-globals", scen.GlobalBytes); err != nil {
 		return Stats{}, err
-	}
-	d.globalBase = gb
-	d.globalHot = make([]uint64, 64)
-	for i := range d.globalHot {
-		d.globalHot[i] = gb + mem.AlignUp(d.refRng.Uint64n(scen.GlobalBytes-4), mem.WordSize)
 	}
 
 	nReqs := scen.Requests / cfg.Scale
 	if nReqs == 0 {
 		nReqs = 1
 	}
-	d.stats.Program = scen.Name
 
 	// Prime the session table: long-lived state allocated round-robin,
 	// so initial ownership is spread across the threads.
@@ -287,7 +243,7 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 		}
 		t := i % scen.Threads
 		m.SetTid(uint8(t))
-		obj, err := d.malloc(t, d.sesDist, d.sesSizes, sessionSiteBase)
+		obj, err := d.draw(t, d.sesDist, d.sesSizes, sessionSiteBase)
 		if err != nil {
 			return d.stats, fmt.Errorf("server %s: priming session %d: %w", scen.Name, i, err)
 		}
@@ -355,17 +311,13 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 		}
 	}
 
-	d.stats.FinalLive = uint64(len(d.live))
-	for _, o := range d.live {
-		d.stats.LiveBytes += uint64(o.size)
-	}
-	return d.stats, nil
+	return d.finish(), nil
 }
 
 // arrive allocates and initializes one request object on thread t.
 func (d *serverDriver) arrive(t int) (*object, error) {
 	d.m.SetTid(uint8(t))
-	obj, err := d.malloc(t, d.reqDist, d.reqSizes, reqSiteBase)
+	obj, err := d.draw(t, d.reqDist, d.reqSizes, reqSiteBase)
 	if err != nil {
 		return nil, err
 	}
@@ -374,9 +326,7 @@ func (d *serverDriver) arrive(t int) (*object, error) {
 	// The init words count against the request's reference budget,
 	// which process() tops up.
 	d.refsAcc -= float64(d.refsStep)
-	th := &d.threads[t]
-	th.window[th.wpos] = obj
-	th.wpos = (th.wpos + 1) % windowSize
+	d.threads[t].promote(obj)
 	return obj, nil
 }
 
@@ -411,7 +361,7 @@ func (d *serverDriver) process(ctx context.Context, t int, reqIdx uint64, obj *o
 	}
 
 	d.refsAcc += refsPerReq - float64(d.refsStep)
-	d.emitRefs(th)
+	d.emitRefs(&th.stream)
 	if extra := instrPerReq - float64(d.refsStep); extra > 1 {
 		d.meter.ChargeTo(cost.App, uint64(extra))
 	}
@@ -472,7 +422,7 @@ func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) error {
 		if err := d.free(s.obj); err != nil {
 			return err
 		}
-		obj, err := d.malloc(int(th.id), d.sesDist, d.sesSizes, sessionSiteBase)
+		obj, err := d.draw(int(th.id), d.sesDist, d.sesSizes, sessionSiteBase)
 		if err != nil {
 			return err
 		}
@@ -494,160 +444,9 @@ func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) error {
 	return nil
 }
 
-// malloc allocates one object from the given size distribution,
-// charging the malloc cost domain exactly as the program driver does.
-// The locality hint is the allocating thread's id, so hint-aware
-// allocators can give each logical thread its own arena.
-func (d *serverDriver) malloc(t int, dist *rng.Discrete, sizes []uint32, siteBase uint32) (*object, error) {
+// draw allocates one object of a size sampled from dist on thread t;
+// the hint is the thread's id.
+func (d *serverDriver) draw(t int, dist *rng.Discrete, sizes []uint32, siteBase uint32) (*object, error) {
 	idx := dist.Sample(d.sizeRng)
-	size := sizes[idx]
-	prev := d.meter.Enter(cost.Malloc)
-	d.meter.Charge(alloc.CallOverhead)
-	var addr uint64
-	var err error
-	if d.hinter != nil {
-		addr, err = d.hinter.MallocLocal(size, uint32(t))
-	} else if sa, ok := d.a.(alloc.SiteAllocator); ok {
-		addr, err = sa.MallocSite(size, siteBase+uint32(idx))
-	} else {
-		addr, err = d.a.Malloc(size)
-	}
-	d.meter.Enter(prev)
-	if err != nil {
-		return nil, err
-	}
-	d.stats.Allocs++
-	d.stats.ReqBytes += uint64(size)
-	d.liveBytes += uint64(size)
-	o := &object{addr: addr, size: size, idx: len(d.live)}
-	d.live = append(d.live, o)
-	return o, nil
-}
-
-func (d *serverDriver) free(o *object) error {
-	prev := d.meter.Enter(cost.Free)
-	d.meter.Charge(alloc.CallOverhead)
-	err := d.a.Free(o.addr)
-	d.meter.Enter(prev)
-	if err != nil {
-		return err
-	}
-	d.stats.Frees++
-	d.liveBytes -= uint64(o.size)
-	o.dead = true
-	last := len(d.live) - 1
-	d.live[o.idx] = d.live[last]
-	d.live[o.idx].idx = o.idx
-	d.live = d.live[:last]
-	return nil
-}
-
-// initObject writes every word of a fresh object (counted into the
-// request's reference budget via refsStep).
-func (d *serverDriver) initObject(o *object) {
-	words := uint64(o.size) / mem.WordSize
-	if words == 0 {
-		d.m.Touch(o.addr, o.size, trace.Write)
-		d.refsStep++
-		return
-	}
-	d.m.TouchRun(o.addr, words, trace.Write)
-	d.refsStep += words
-}
-
-// emitRefs spends the accumulated reference budget on the thread's
-// locality-shaped mix of stack, global and heap references.
-func (d *serverDriver) emitRefs(th *serverThread) {
-	scen := d.scen
-	for d.refsAcc >= 1 {
-		r := d.refRng.Float64()
-		switch {
-		case r < scen.StackFrac:
-			d.stackRef(th)
-			d.refsAcc--
-			d.refsStep++
-		case r < scen.StackFrac+scen.GlobalFrac:
-			d.globalRef()
-			d.refsAcc--
-			d.refsStep++
-		default:
-			n := d.heapRun(th)
-			d.refsAcc -= float64(n)
-			d.refsStep += n
-		}
-	}
-}
-
-// stackRef walks the thread's private stack band (never shared).
-func (d *serverDriver) stackRef(th *serverThread) {
-	delta := int64(d.refRng.Uint64n(129)) - 64
-	sp := int64(th.sp) + delta
-	if sp < 64 {
-		sp = 64
-	}
-	if sp > 1984 {
-		sp = 1984
-	}
-	th.sp = uint64(sp)
-	off := th.sp - d.refRng.Uint64n(16)*mem.WordSize
-	kind := trace.Read
-	if d.refRng.Bool(0.45) {
-		kind = trace.Write
-	}
-	d.m.Touch(th.stackBase+mem.AlignUp(off, mem.WordSize), mem.WordSize, kind)
-}
-
-// globalRef touches the shared Zipf-hot global words; concurrent
-// writers make these lines ping-pong identically for every allocator —
-// the allocator-independent true-sharing floor.
-func (d *serverDriver) globalRef() {
-	addr := d.globalHot[d.globalZipf.Sample(d.refRng)]
-	kind := trace.Read
-	if d.refRng.Bool(0.2) {
-		kind = trace.Write
-	}
-	d.m.Touch(addr, mem.WordSize, kind)
-}
-
-// heapRun references a short sequential run inside one live object,
-// mostly from the thread's own recency window and otherwise uniformly
-// from the whole live set (occasionally another thread's object).
-func (d *serverDriver) heapRun(th *serverThread) uint64 {
-	o := d.pickObject(th)
-	if o == nil {
-		d.stackRef(th)
-		return 1
-	}
-	words := uint64(o.size) / mem.WordSize
-	if words == 0 {
-		d.m.Touch(o.addr, o.size, trace.Read)
-		return 1
-	}
-	start := d.refRng.Uint64n(words)
-	run := 1 + d.refRng.Uint64n(maxRunWords)
-	if run > words-start {
-		run = words - start
-	}
-	kind := trace.Read
-	if d.refRng.Bool(writeProb) {
-		kind = trace.Write
-	}
-	d.m.TouchRun(o.addr+start*mem.WordSize, run, kind)
-	th.window[th.wpos] = o
-	th.wpos = (th.wpos + 1) % windowSize
-	return run
-}
-
-func (d *serverDriver) pickObject(th *serverThread) *object {
-	if len(d.live) == 0 {
-		return nil
-	}
-	if d.refRng.Bool(windowProb) {
-		rank := d.windowZipf.Sample(d.refRng)
-		pos := (th.wpos - 1 - rank + 2*windowSize) % windowSize
-		if o := th.window[pos]; o != nil && !o.dead {
-			return o
-		}
-	}
-	return d.live[d.refRng.Intn(len(d.live))]
+	return d.malloc(sizes[idx], siteBase+uint32(idx), uint32(t))
 }
