@@ -2,11 +2,11 @@
 // simulation hot paths: the per-block and per-reference functions of
 // the cache, VM and trace layers (the fused cache.Group sweep,
 // lineSet.add/addRange, the vm.StackSim probe and its Fenwick engine,
-// the trace.Block append paths, mem.Memory's touch/emit pipeline and
-// the workload model's reference generator) execute once per simulated
-// memory reference, so a single heap allocation there is multiplied by
-// hundreds of millions and drowns the placement effects the paper
-// measures in harness noise.
+// the trace.Block append paths, mem.Memory's touch/emit pipeline, the
+// mem.PageDir lookup behind every page table and the workload model's
+// reference generator) execute once per simulated memory reference, so
+// a single heap allocation there is multiplied by hundreds of millions
+// and drowns the placement effects the paper measures in harness noise.
 //
 // Two layers of evidence feed the same diagnostic stream:
 //
@@ -24,11 +24,10 @@
 // warm, reused buffer is the hot paths' working idiom, and the
 // AllocsPerRun regression tests (cache/vm zeroalloc tests) pin the
 // warmed steady state to 0 allocs/op dynamically. Cold-path helpers
-// called from hot functions (lineSet.page, pageTable.page,
-// fenwick.compact, mem.Memory.page) are not in the hot set:
-// materializing a page on first touch and growing the slot space are
-// the documented amortized exceptions, and the dynamic tests hold them
-// to account.
+// called from hot functions (mem.PageDir.miss, fenwick.compact) are
+// not in the hot set: materializing a page on first touch and growing
+// the slot space are the documented amortized exceptions, and the
+// dynamic tests hold them to account.
 package hotalloc
 
 import (
@@ -60,16 +59,16 @@ var hotFuncs = map[string]map[string]map[string]bool{
 		"Sharing": set("Ref", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
-		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),
-		"fenwick":   set("access", "prefix", "add"),
-		"pageTable": set("get", "set", "ref"),
-		"mtfList":   set("access"),
+		"StackSim": set("Ref", "Block", "foldRepeats", "accessPage", "record"),
+		"fenwick":  set("access", "slot", "prefix", "add"),
+		"mtfList":  set("access"),
 	},
 	"trace": {
 		"Block": set("Append", "AppendRun", "AppendRunTid", "AppendRefs", "Reset"),
 	},
 	"mem": {
-		"Memory": set("Touch", "TouchRun", "emit"),
+		"Memory":  set("Touch", "TouchRun", "emit"),
+		"PageDir": set("Get"),
 	},
 	"workload": {
 		"model":  set("initObject", "emitRefs", "stackRef", "globalRef", "heapRun", "pickObject"),
@@ -143,7 +142,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// recvTypeName extracts the receiver's base type name.
+// recvTypeName extracts the receiver's base type name, unwrapping the
+// pointer and any type parameters (PageDir[P], Pair[K, V]).
 func recvTypeName(fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {
 		return ""
@@ -151,6 +151,12 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
 	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "../testdata", hotalloc.Analyzer, "hot/cache", "hot/vm", "hot/trace", "hot/workload")
+	analysistest.Run(t, "../testdata", hotalloc.Analyzer, "hot/cache", "hot/vm", "hot/trace", "hot/workload", "hot/mem")
 }

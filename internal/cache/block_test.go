@@ -171,7 +171,8 @@ func TestGroupBlockEquivalence(t *testing.T) {
 
 // TestLineSetAddRange: the word-at-a-time range fill must mark exactly
 // the lines that repeated add calls mark, across page boundaries, word
-// boundaries and both dense and sparse territory.
+// boundaries, and both the page directory's two-level and far-map
+// territory.
 func TestLineSetAddRange(t *testing.T) {
 	r := rng.New(11)
 	spans := [][2]uint64{
@@ -187,8 +188,9 @@ func TestLineSetAddRange(t *testing.T) {
 		first := r.Uint64n(1 << 21)
 		spans = append(spans, [2]uint64{first, first + r.Uint64n(3000)})
 	}
-	// A sparse-territory span (beyond the dense page limit).
-	base := uint64(lineSetDenseLimit)<<lineSetPageShift + 17
+	// A span far up the address space, where the page directory falls
+	// back to its map.
+	base := uint64(1)<<58 + 17
 	spans = append(spans, [2]uint64{base, base + 100})
 
 	ranged, looped := newLineSet(), newLineSet()
@@ -207,21 +209,19 @@ func TestLineSetAddRange(t *testing.T) {
 	}
 	// Membership spot-check via a probe group is indirect; compare the
 	// raw pages instead.
-	for idx, page := range looped.dense {
-		if page == nil {
-			if idx < len(ranged.dense) && ranged.dense[idx] != nil {
-				for _, w := range ranged.dense[idx] {
-					if w != 0 {
-						t.Fatalf("page %d: addRange set bits the oracle did not", idx)
-					}
-				}
-			}
-			continue
-		}
-		if idx >= len(ranged.dense) || ranged.dense[idx] == nil {
+	pages := func(s *lineSet) map[uint64]lineSetPage {
+		m := map[uint64]lineSetPage{}
+		s.pages.Each(func(idx uint64, p *lineSetPage) { m[idx] = *p })
+		return m
+	}
+	want, got := pages(looped), pages(ranged)
+	if len(got) != len(want) {
+		t.Fatalf("addRange allocated %d pages, the add loop %d", len(got), len(want))
+	}
+	for idx, page := range want {
+		if g, ok := got[idx]; !ok {
 			t.Fatalf("page %d missing from addRange set", idx)
-		}
-		if *ranged.dense[idx] != *page {
+		} else if g != page {
 			t.Fatalf("page %d bitmap diverged", idx)
 		}
 	}

@@ -3,7 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
@@ -31,21 +31,22 @@ import (
 // under that (the server scenarios use at most a few dozen threads).
 // A workload that never stamps tids produces no events: every access
 // comes from thread 0, which always holds its own lines.
+//
+// Coherence state lives in 4096-line pages allocated on first touch in
+// a mem.PageDir, so it costs memory in proportion to the lines a stream
+// touches, not to the addresses of its regions (which sit 4 GiB apart).
 type Sharing struct {
 	lineShift uint
 	lineSize  uint64
 	regionOf  func(uint64) int
 
-	// Per-line coherence state in lineSet-style lazily allocated pages:
-	// a directly-indexed slice below shareDenseLimit, a map above it,
-	// and a single-entry last-page cache for the strongly local common
-	// case.
-	dense   []*sharePage
-	sparse  map[uint64]*sharePage
-	lastIdx uint64
-	last    *sharePage
+	pages mem.PageDir[sharePage]
 
-	counts    map[uint64]*shareCount
+	// counts holds the per-thread event counters of each region that
+	// has suffered an event, parallel to regions (kept sorted, so the
+	// report needs no sort). RegionOf's indices need not be dense.
+	regions   []int
+	counts    [][64]shareCount
 	pingLines lineSet
 	trueEv    uint64
 	falseEv   uint64
@@ -101,7 +102,6 @@ func NewSharing(cfg SharingConfig) *Sharing {
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		lineSize:  cfg.LineSize,
 		regionOf:  cfg.RegionOf,
-		counts:    make(map[uint64]*shareCount),
 	}
 }
 
@@ -213,18 +213,7 @@ func (s *Sharing) runRow(addr uint64, size uint32, k trace.Kind, n uint32, tid u
 // event (if any) is classified against, update the word mask a write
 // deposits. For plain references the two coincide.
 func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint8) {
-	idx := line >> sharePageShift
-	p := s.last
-	if p == nil || idx != s.lastIdx {
-		p = nil
-		if idx < uint64(len(s.dense)) {
-			p = s.dense[idx]
-		}
-		if p == nil {
-			p = s.page(idx)
-		}
-		s.lastIdx, s.last = idx, p
-	}
+	p := s.pages.Get(line >> sharePageShift)
 	i := line & (sharePageLines - 1)
 	t := tid & 63
 	bit := uint64(1) << t
@@ -253,7 +242,7 @@ func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint
 
 // event records one coherence transfer — the cold path of accessLine
 // (events are rare next to accesses, and a warm run's region×thread
-// counters are already materialized).
+// counters are already materialized). tid is below 64.
 func (s *Sharing) event(line uint64, tid uint8, isTrue bool) {
 	if isTrue {
 		s.trueEv++
@@ -267,48 +256,17 @@ func (s *Sharing) event(line uint64, tid uint8, isTrue bool) {
 			region = r
 		}
 	}
-	key := uint64(region)<<8 | uint64(tid)
-	c := s.counts[key]
-	if c == nil {
-		c = &shareCount{}
-		s.counts[key] = c
+	i, ok := slices.BinarySearch(s.regions, region)
+	if !ok {
+		s.regions = slices.Insert(s.regions, i, region)
+		s.counts = slices.Insert(s.counts, i, [64]shareCount{})
 	}
+	c := &s.counts[i][tid]
 	if isTrue {
 		c.trueEv++
 	} else {
 		c.falseEv++
 	}
-}
-
-// page allocates (and registers) the coherence page covering idx — the
-// slow path of accessLine, kept out of line like lineSet.page.
-func (s *Sharing) page(idx uint64) *sharePage {
-	if idx < lineSetDenseLimit {
-		if idx >= uint64(len(s.dense)) {
-			size := idx + 1
-			if min := 2 * uint64(len(s.dense)); size < min {
-				size = min
-			}
-			if size > lineSetDenseLimit {
-				size = lineSetDenseLimit
-			}
-			grown := make([]*sharePage, size)
-			copy(grown, s.dense)
-			s.dense = grown
-		}
-		p := new(sharePage)
-		s.dense[idx] = p
-		return p
-	}
-	p := s.sparse[idx]
-	if p == nil {
-		p = new(sharePage)
-		if s.sparse == nil {
-			s.sparse = make(map[uint64]*sharePage)
-		}
-		s.sparse[idx] = p
-	}
-	return p
 }
 
 // SharingRow is one attribution row: sharing events suffered by thread
@@ -337,26 +295,17 @@ type SharingReport struct {
 // Events returns the total number of sharing events recorded.
 func (s *Sharing) Events() uint64 { return s.trueEv + s.falseEv }
 
-// Report assembles the end-of-run summary. O(rows log rows); call it
-// after the stream is flushed.
+// Report assembles the end-of-run summary: one row per region×thread
+// pair that suffered an event, in (Region, Tid) order. Call it after the
+// stream is flushed.
 func (s *Sharing) Report() SharingReport {
-	keys := make([]uint64, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var rows []SharingRow
-	if len(keys) > 0 {
-		rows = make([]SharingRow, 0, len(keys))
-	}
-	for _, k := range keys {
-		c := s.counts[k]
-		rows = append(rows, SharingRow{
-			Region: int(k >> 8),
-			Tid:    uint8(k & 0xff),
-			True:   c.trueEv,
-			False:  c.falseEv,
-		})
+	for i, region := range s.regions {
+		for tid, c := range s.counts[i] {
+			if c != (shareCount{}) {
+				rows = append(rows, SharingRow{Region: region, Tid: uint8(tid), True: c.trueEv, False: c.falseEv})
+			}
+		}
 	}
 	return SharingReport{
 		Rows:      rows,

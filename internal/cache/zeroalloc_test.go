@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
+	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
 )
 
@@ -86,5 +88,32 @@ func TestLineSetAddRangeZeroAlloc(t *testing.T) {
 	warm() // materialize dense and sparse pages
 	if avg := testing.AllocsPerRun(50, warm); avg != 0 {
 		t.Errorf("warmed lineSet.add/addRange allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestRegionSpreadFootprint: the page tables behind Group and Sharing
+// cost memory in proportion to the pages a stream touches, not to the
+// highest address. One reference at each of 17 region bases (regions
+// sit 4 GiB apart) must stay under 4 MB of Go heap, nearly all of it
+// the 17 coherence pages; page tables sized by address would allocate
+// several megabytes of nil page pointers per table.
+func TestRegionSpreadFootprint(t *testing.T) {
+	m := mem.New(nil, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGroup(Config{Size: 16 << 10}, Config{Size: 64 << 10})
+	s := NewSharing(SharingConfig{})
+	for i := 0; i < 17; i++ {
+		r := trace.Ref{Addr: m.NewRegion("r", 0).Base(), Size: mem.WordSize, Kind: trace.Write, Tid: uint8(i % 2)}
+		g.Ref(r)
+		s.Ref(r)
+	}
+	if got := g.DistinctLines(); got != 17 {
+		t.Fatalf("DistinctLines = %d, want 17", got)
+	}
+	s.Report()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("Group + Sharing over 17 region bases allocated %.2f MB, want < 4 MB", float64(alloc)/(1<<20))
 	}
 }

@@ -14,8 +14,12 @@
 // break semantics; distinct regions live far apart so an allocator can
 // keep, say, a chunk-descriptor table in one region and the heap proper
 // in another (as GNU malloc does) without the two colliding. Backing
-// pages are materialized lazily, so a region's virtual span costs
-// nothing until touched.
+// pages are materialized lazily in a PageDir, so a region's virtual
+// span costs nothing until touched. PageDir is also the page table of
+// every other address-indexed structure in the simulator (the cache
+// simulators' line and coherence state, the VM stack engine's slot
+// map): one sparse layout whose cost follows the pages touched, not
+// the 4 GiB spacing of the region bases.
 package mem
 
 import (
@@ -73,7 +77,7 @@ const DefaultBatchSize = 2048
 // Memory is a sparse simulated address space. It is not safe for
 // concurrent use; each simulation run owns one Memory.
 type Memory struct {
-	pages   map[uint64]*[PageSize]byte
+	pages   PageDir[[PageSize]byte]
 	regions []*Region
 	sink    trace.Sink
 	meter   *cost.Meter
@@ -125,7 +129,6 @@ func New(sink trace.Sink, meter *cost.Meter) *Memory {
 		sink = trace.Discard
 	}
 	return &Memory{
-		pages:          make(map[uint64]*[PageSize]byte),
 		sink:           sink,
 		meter:          meter,
 		InstrPerAccess: 1,
@@ -332,7 +335,7 @@ func (m *Memory) Footprint() uint64 {
 
 // TouchedPages returns the number of distinct backing pages materialized
 // so far (pages actually referenced, across all regions).
-func (m *Memory) TouchedPages() int { return len(m.pages) }
+func (m *Memory) TouchedPages() int { return m.pages.Len() }
 
 // Name returns the region's name.
 func (r *Region) Name() string { return r.name }
@@ -377,16 +380,6 @@ func (r *Region) charge(n uint64) {
 	}
 }
 
-func (m *Memory) page(addr uint64) *[PageSize]byte {
-	pn := PageOf(addr)
-	p := m.pages[pn]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[pn] = p
-	}
-	return p
-}
-
 func (m *Memory) checkAddr(addr uint64, n uint32) {
 	// A word access must lie inside some region's allocated span.
 	// Out-of-range accesses are programming errors in an allocator and
@@ -410,7 +403,7 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 		m.meter.Charge(m.InstrPerAccess)
 	}
 	m.emit(trace.Ref{Addr: addr, Size: WordSize, Kind: trace.Read})
-	p := m.page(addr)
+	p := m.pages.Get(PageOf(addr))
 	off := PageOffset(addr)
 	return uint64(binary.LittleEndian.Uint32(p[off : off+WordSize]))
 }
@@ -431,7 +424,7 @@ func (m *Memory) WriteWord(addr, val uint64) {
 		m.meter.Charge(m.InstrPerAccess)
 	}
 	m.emit(trace.Ref{Addr: addr, Size: WordSize, Kind: trace.Write})
-	p := m.page(addr)
+	p := m.pages.Get(PageOf(addr))
 	off := PageOffset(addr)
 	binary.LittleEndian.PutUint32(p[off:off+WordSize], uint32(val))
 }

@@ -13,20 +13,32 @@ package vm
 // back to a dense prefix (amortized O(1) per access).
 //
 // The engine works over flat arrays and finds each page's slot in a
-// paged-sparse table directly indexed by page number. It is the engine
-// every simulation runs; the move-to-front list in vm.go computes the
-// same true LRU stack distances by brute force and serves as its
-// oracle in tests.
+// mem.PageDir of 4096-entry slot pages indexed by page number. It is
+// the engine every simulation runs; the move-to-front list in vm.go
+// computes the same true LRU stack distances by brute force and serves
+// as its oracle in tests.
+
+import "mallocsim/internal/mem"
 
 type fenwick struct {
-	tree   []int32  // 1-based Fenwick tree: tree of live-slot flags
-	pageOf []uint64 // slot -> page, for compaction
-	slots  pageTable
-	n      int // live (distinct) pages
-	next   int // next unused slot; next <= len(pageOf)
+	tree   []int32               // 1-based Fenwick tree: tree of live-slot flags
+	pageOf []uint64              // slot -> page, for compaction
+	slots  mem.PageDir[slotPage] // page -> slot+1 (0 = absent)
+	n      int                   // live (distinct) pages
+	next   int                   // next unused slot; next <= len(pageOf)
 }
 
 const fenwickMinCap = 1 << 10
+
+const slotPageShift = 12
+
+type slotPage [1 << slotPageShift]int32
+
+// slot returns a pointer to page's slot entry (slot+1, 0 = absent),
+// allocating its slot page on first touch.
+func (f *fenwick) slot(page uint64) *int32 {
+	return &f.slots.Get(page >> slotPageShift)[page&(1<<slotPageShift-1)]
+}
 
 func newFenwick() *fenwick {
 	return &fenwick{
@@ -52,7 +64,7 @@ func (f *fenwick) access(page uint64) int {
 	// two-level table once and writing through the pointer halves the
 	// table walks on the hot path. Nothing between the read and the
 	// write can move the entry (compaction already ran above).
-	ref := f.slots.ref(page)
+	ref := f.slot(page)
 	if s := *ref; s != 0 {
 		slot := int(s - 1)
 		// Live slots strictly more recent than this page's slot.
@@ -105,11 +117,12 @@ func (f *fenwick) compact() {
 	j := 0
 	for slot := 0; slot < f.next; slot++ {
 		page := f.pageOf[slot]
-		if f.slots.get(page) != int32(slot+1) {
+		e := f.slot(page)
+		if *e != int32(slot+1) {
 			continue // stale: the page has moved to a later slot
 		}
 		pageOf[j] = page
-		f.slots.set(page, int32(j+1))
+		*e = int32(j + 1)
 		j++
 	}
 	f.pageOf = pageOf
@@ -122,92 +135,4 @@ func (f *fenwick) compact() {
 	for slot := 0; slot < j; slot++ {
 		f.add(slot+1, 1)
 	}
-}
-
-// pageTable maps page numbers to int32 values (slot+1; 0 = absent) with
-// the same two-level layout as cache.lineSet: pages of 4096 entries,
-// directly indexed below the dense limit, in a map above it. Simulated
-// heaps sit in the low few GB of the address space, so the common case
-// is one shift, one bounds check and one store.
-type pageTable struct {
-	dense  []*pageTablePage
-	sparse map[uint64]*pageTablePage
-}
-
-const (
-	pageTableShift      = 12
-	pageTableDenseLimit = 1 << 15
-)
-
-type pageTablePage [1 << pageTableShift]int32
-
-func (t *pageTable) get(page uint64) int32 {
-	idx := page >> pageTableShift
-	var p *pageTablePage
-	if idx < uint64(len(t.dense)) {
-		p = t.dense[idx]
-	} else if t.sparse != nil {
-		p = t.sparse[idx]
-	}
-	if p == nil {
-		return 0
-	}
-	return p[page&(1<<pageTableShift-1)]
-}
-
-func (t *pageTable) set(page uint64, v int32) {
-	idx := page >> pageTableShift
-	var p *pageTablePage
-	if idx < uint64(len(t.dense)) {
-		p = t.dense[idx]
-	} else if idx >= pageTableDenseLimit && t.sparse != nil {
-		p = t.sparse[idx]
-	}
-	if p == nil {
-		p = t.page(idx)
-	}
-	p[page&(1<<pageTableShift-1)] = v
-}
-
-// ref returns a pointer to the page's entry, allocating its table page
-// if needed — one two-level walk for a read-modify-write access.
-func (t *pageTable) ref(page uint64) *int32 {
-	idx := page >> pageTableShift
-	var p *pageTablePage
-	if idx < uint64(len(t.dense)) {
-		p = t.dense[idx]
-	} else if idx >= pageTableDenseLimit && t.sparse != nil {
-		p = t.sparse[idx]
-	}
-	if p == nil {
-		p = t.page(idx)
-	}
-	return &p[page&(1<<pageTableShift-1)]
-}
-
-func (t *pageTable) page(idx uint64) *pageTablePage {
-	p := new(pageTablePage)
-	if idx < pageTableDenseLimit {
-		if idx >= uint64(len(t.dense)) {
-			// Grow geometrically so increasing page indices don't recopy
-			// the pointer table once per new page.
-			size := idx + 1
-			if min := 2 * uint64(len(t.dense)); size < min {
-				size = min
-			}
-			if size > pageTableDenseLimit {
-				size = pageTableDenseLimit
-			}
-			grown := make([]*pageTablePage, size)
-			copy(grown, t.dense)
-			t.dense = grown
-		}
-		t.dense[idx] = p
-		return p
-	}
-	if t.sparse == nil {
-		t.sparse = make(map[uint64]*pageTablePage)
-	}
-	t.sparse[idx] = p
-	return p
 }

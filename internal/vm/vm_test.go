@@ -146,11 +146,14 @@ func TestAgainstBruteForce(t *testing.T) {
 // TestFenwickMatchesList cross-checks the Fenwick engine against the
 // move-to-front list oracle on streams chosen to reach its edge paths:
 // a small hot set, a live set large enough that compact() grows the
-// slot space at least twice, and pages above the dense pageTable limit
-// up to the top page of the 64-bit address space.
+// slot space at least twice, and pages far enough up that their slot
+// pages sit in the mem.PageDir's far map, up to the top page of the
+// 64-bit address space.
 func TestFenwickMatchesList(t *testing.T) {
 	const topPage = ^uint64(0) / DefaultPageSize
-	sparseBase := uint64(pageTableDenseLimit) << pageTableShift
+	// Slot pages at or past index 1<<27 (directory top index 1<<12)
+	// fall back to the directory's map.
+	const sparseBase = uint64(1) << (27 + slotPageShift)
 	cases := []struct {
 		name string
 		refs int
@@ -197,15 +200,21 @@ func TestFenwickMatchesList(t *testing.T) {
 				case r.Bool(0.3):
 					return sparseBase + r.Uint64n(256)
 				default:
-					// Scattered high pages: each lands in its own sparse
-					// table page.
+					// Scattered high pages: each lands in its own slot
+					// page.
 					return sparseBase + r.Uint64n(700)*(topPage/1024)
 				}
 			},
 			check: func(f *fenwick) error {
-				if len(f.slots.sparse) == 0 || f.slots.get(topPage) == 0 {
-					return fmt.Errorf("sparse table pages %d, top page slot %d: the stream missed the sparse table",
-						len(f.slots.sparse), f.slots.get(topPage))
+				far := 0
+				f.slots.Each(func(idx uint64, _ *slotPage) {
+					if idx<<slotPageShift >= sparseBase {
+						far++
+					}
+				})
+				if far == 0 || *f.slot(topPage) == 0 {
+					return fmt.Errorf("far slot pages %d, top page slot %d: the stream missed the directory's map",
+						far, *f.slot(topPage))
 				}
 				if len(f.pageOf) <= fenwickMinCap {
 					return fmt.Errorf("slot space %d never grew: compaction did not run over sparse pages", len(f.pageOf))

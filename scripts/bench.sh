@@ -7,7 +7,8 @@
 #   bench/BENCH_<stamp>.txt   raw `go test -bench` output, directly
 #                             usable with benchstat (old.txt new.txt)
 #   bench/BENCH_<stamp>.json  machine-readable summary: one object per
-#                             benchmark with ns/op and any custom
+#                             benchmark with ns/op, B/op and allocs/op
+#                             (-benchmem) and any custom
 #                             b.ReportMetric units
 #
 # <stamp> is the UTC date, plus "-$BENCH_TAG" when a tag is set, so
@@ -73,11 +74,11 @@ matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
   # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
   # block delivery) and the LRU stack engine (per-Ref and block).
   # Several iterations each so benchstat has samples.
-  go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
+  go test -run '^$' -bench "$micro" -benchtime "$benchtime" -benchmem .
   # Full experiment matrix through the parallel runner, plus the
   # concurrent server sweep: one iteration each (they regenerate whole
   # experiment tables per op).
-  go test -run '^$' -bench "$matrix" -benchtime 1x .
+  go test -run '^$' -bench "$matrix" -benchtime 1x -benchmem .
 } | tee "$txt"
 
 # Distil the raw output into JSON without external dependencies.
